@@ -23,22 +23,19 @@ anything.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, read_budget
 from .rules import Rule, format_rule, is_balanced
-from .tree import EdgeLabel, NodeClass, TreeNode, child, edge_label, root
+from .tree import EdgeLabel, NodeClass, TreeNode, child, edge_label, expected_edge_total, root
 
 DEFAULT_NODE_BUDGET = 100_000
 _NODE_BUDGET_ENV = "REVCA_NODE_BUDGET"
 
-
-def _node_budget(override: int | None) -> int:
-    if override is not None:
-        return override
-    return int(os.environ.get(_NODE_BUDGET_ENV, DEFAULT_NODE_BUDGET))
+# Classes of the nodes the ring-closing edges at levels n-3, n-2 and n-1
+# lead to; leaves (after n-1) are not checked.
+_TAIL_CLASSES = (NodeClass.SECOND_LAST, NodeClass.LAST, None)
 
 
 @dataclass(frozen=True)
@@ -57,6 +54,24 @@ class Witness:
     expected: int | None = None
     actual: int | None = None
     node: TreeNode | None = None
+
+
+def _witness(level: int, label: EdgeLabel, expected: int, node: TreeNode) -> Witness:
+    """The witness for ``label``, an edge of ``node`` at ``level`` whose
+    RMT count differs from ``expected``."""
+    actual = label.total()
+    return Witness(
+        kind="edge_total",
+        detail=(
+            f"level {level}: edge for state {label.edge_state} carries "
+            f"{actual} RMTs, a complete tree needs {expected}"
+        ),
+        level=level,
+        edge_state=label.edge_state,
+        expected=expected,
+        actual=actual,
+        node=node,
+    )
 
 
 @dataclass(frozen=True)
@@ -88,14 +103,6 @@ class Verdict:
         }
 
 
-@dataclass(frozen=True)
-class _Expansion:
-    """Cached interior derivation of one node value."""
-
-    children: tuple[TreeNode, ...]
-    violation: Witness | None  # level filled in by the caller
-
-
 class FrontierClosure:
     """Lazily computed frontier sequence of one rule.
 
@@ -103,6 +110,8 @@ class FrontierClosure:
     full tree. Expansion results are cached per node value (the
     cross-level repeat mechanism), and whole-frontier repeats give the
     (preperiod, period) pair used to index any level arithmetically.
+    Ring-closing checks are cached per materialized frontier, so every
+    decision sharing the closure reuses them.
 
     With ``fail_fast`` the sequence stops extending at the first level
     whose expansion violates the interior cardinality; deciders never
@@ -112,12 +121,16 @@ class FrontierClosure:
 
     def __init__(self, rule: Rule, node_budget: int | None = None, fail_fast: bool = True):
         self.rule = rule
-        self.node_budget = _node_budget(node_budget)
+        self.node_budget = read_budget(node_budget, _NODE_BUDGET_ENV, DEFAULT_NODE_BUDGET)
         self.fail_fast = fail_fast
+        # every interior edge carries what level 0 of a 3-cell ring carries
+        self._interior_total = expected_edge_total(0, 3, rule.d)
         self.frontiers: list[frozenset[TreeNode]] = [frozenset([root(rule.d)])]
         self._frontier_index: dict[frozenset[TreeNode], int] = {self.frontiers[0]: 0}
         self._violations: list[Witness | None] = []
-        self._expansions: dict[TreeNode, _Expansion] = {}
+        # node -> (children, first edge label off the interior total)
+        self._expansions: dict[TreeNode, tuple[tuple[TreeNode, ...], EdgeLabel | None]] = {}
+        self._tails: dict[int, tuple | None] = {}
         self.preperiod: int | None = None
         self.period: int | None = None
         self._aborted_at: int | None = None
@@ -138,7 +151,7 @@ class FrontierClosure:
     def frontier_sizes(self) -> tuple[int, ...]:
         return tuple(len(f) for f in self.frontiers)
 
-    def _expand(self, node: TreeNode) -> _Expansion:
+    def _expand(self, node: TreeNode) -> tuple[tuple[TreeNode, ...], EdgeLabel | None]:
         cached = self._expansions.get(node)
         if cached is not None:
             return cached
@@ -147,51 +160,29 @@ class FrontierClosure:
                 f"more than {self.node_budget} distinct tree nodes; "
                 f"raise the budget (env {_NODE_BUDGET_ENV}) to continue"
             )
-        d = self.rule.d
-        want = d * d
+        want = self._interior_total
         children = []
         violation = None
-        for m in range(d):
+        for m in range(self.rule.d):
             label = edge_label(node, self.rule, m)
-            got = label.total()
-            if got != want and violation is None:
-                violation = Witness(
-                    kind="edge_total",
-                    detail=(
-                        f"edge for state {m} carries {got} RMTs, "
-                        f"an interior edge of a complete tree carries {want}"
-                    ),
-                    edge_state=m,
-                    expected=want,
-                    actual=got,
-                    node=node,
-                )
+            if label.total() != want and violation is None:
+                violation = label
             children.append(child(label, NodeClass.INTERIOR))
-        result = _Expansion(tuple(children), violation)
-        self._expansions[node] = result
+        result = self._expansions[node] = (tuple(children), violation)
         return result
 
     def _advance(self) -> None:
         """Compute the next frontier from the last one."""
         level = len(self.frontiers) - 1
-        current = self.frontiers[-1]
         nxt: set[TreeNode] = set()
         violation = None
-        for node in sorted(current, key=lambda nd: nd.by_window):
-            exp = self._expand(node)
-            if exp.violation is not None and violation is None:
-                violation = Witness(
-                    kind=exp.violation.kind,
-                    detail=f"level {level}: {exp.violation.detail}",
-                    level=level,
-                    edge_state=exp.violation.edge_state,
-                    expected=exp.violation.expected,
-                    actual=exp.violation.actual,
-                    node=exp.violation.node,
-                )
+        for node in sorted(self.frontiers[-1], key=lambda nd: nd.by_window):
+            children, bad = self._expand(node)
+            if bad is not None and violation is None:
+                violation = _witness(level, bad, self._interior_total, node)
                 if self.fail_fast:
                     break
-            nxt.update(exp.children)
+            nxt.update(children)
         self._violations.append(violation)
         if violation is not None and self.fail_fast:
             self._aborted_at = level
@@ -205,62 +196,44 @@ class FrontierClosure:
         else:
             self._frontier_index[frontier] = len(self.frontiers) - 1
 
-    def _ensure_expanded_through(self, level: int) -> None:
-        """Make violations[0..level] available (or detect closure/abort first)."""
-        while (
-            len(self._violations) <= level
-            and not self.closed
-            and self._aborted_at is None
-        ):
-            self._advance()
-
-    def close(self) -> None:
-        """Run until the frontier sequence repeats."""
-        if self.fail_fast:
-            raise RuntimeError("close() requires fail_fast=False")
-        while not self.closed:
-            self._advance()
-
     def first_interior_violation(self, max_level: int) -> Witness | None:
         """Lowest-level interior cardinality violation among edge levels
         0..max_level of the full tree, if any."""
         if max_level < 0:
             return None
-        self._ensure_expanded_through(max_level)
+        while (
+            len(self._violations) <= max_level
+            and not self.closed
+            and self._aborted_at is None
+        ):
+            self._advance()
         # Once closed, violations for levels >= preperiod repeat with the
         # period, and one full period is always materialized.
-        for level, v in enumerate(self._violations):
-            if level > max_level:
-                break
-            if v is not None:
-                return v
-        return None
+        return next((v for v in self._violations[: max_level + 1] if v is not None), None)
 
-    def frontier_at(self, level: int) -> frozenset[TreeNode]:
-        if level < len(self.frontiers):
-            return self.frontiers[level]
-        while not self.closed:
+    def _level_index(self, level: int) -> int:
+        """The materialized level holding the frontier of ``level``."""
+        while level >= len(self.frontiers) and not self.closed:
             if self._aborted_at is not None:
                 raise RuntimeError(
                     f"frontier {level} unavailable: expansion stopped at the "
                     f"level-{self._aborted_at} violation"
                 )
             self._advance()
-            if level < len(self.frontiers):
-                return self.frontiers[level]
-        q, p = self.preperiod, self.period
-        return self.frontiers[q + (level - q) % p]
-
-    def canonical_level(self, level: int) -> int:
-        """The materialized level holding the same frontier value."""
         if level < len(self.frontiers):
             return level
-        if not self.closed:
-            self.frontier_at(level)
-            if level < len(self.frontiers):
-                return level
         q, p = self.preperiod, self.period
         return q + (level - q) % p
+
+    def frontier_at(self, level: int) -> frozenset[TreeNode]:
+        return self.frontiers[self._level_index(level)]
+
+    def _tail_violation(self, level: int) -> tuple | None:
+        """The ring-closing check of frontier ``level`` taken as level n-3."""
+        key = self._level_index(level)
+        if key not in self._tails:
+            self._tails[key] = _check_tail(self.rule, self.frontiers[key])
+        return self._tails[key]
 
 
 def frontier_closure(rule: Rule, node_budget: int | None = None) -> FrontierClosure:
@@ -268,82 +241,45 @@ def frontier_closure(rule: Rule, node_budget: int | None = None) -> FrontierClos
     if not is_balanced(rule):
         raise ValueError("frontier closure is defined for balanced rules")
     closure = FrontierClosure(rule, node_budget=node_budget, fail_fast=False)
-    closure.close()
+    while not closure.closed:
+        closure._advance()
     return closure
 
 
-@dataclass(frozen=True)
-class _TailViolation:
-    """Tail check failure, positioned relative to level n-3 (offset 0..2)."""
-
-    offset: int
-    edge_state: int
-    expected: int
-    actual: int
-    node: TreeNode
-
-
-def _tail_witness(rec: _TailViolation | None, n: int) -> Witness | None:
-    if rec is None:
-        return None
-    level = n - 3 + rec.offset
-    return Witness(
-        kind="edge_total",
-        detail=(
-            f"level {level}: edge for state {rec.edge_state} carries "
-            f"{rec.actual} RMTs, a complete tree needs {rec.expected}"
-        ),
-        level=level,
-        edge_state=rec.edge_state,
-        expected=rec.expected,
-        actual=rec.actual,
-        node=rec.node,
-    )
-
-
-def _check_tail(rule: Rule, frontier: Iterable[TreeNode], d: int) -> _TailViolation | None:
+def _check_tail(rule: Rule, frontier: Iterable[TreeNode]) -> tuple | None:
     """Check the three final edge levels from the level-(n-3) frontier,
-    applying the two ring-closing filters. Depends only on the frontier."""
+    applying the two ring-closing filters. Depends only on the frontier.
 
-    def violation(offset: int, want: int, label: EdgeLabel, node: TreeNode) -> _TailViolation | None:
-        got = label.total()
-        if got == want:
-            return None
-        return _TailViolation(offset, label.edge_state, want, got, node)
+    Depth first, each distinct child once per offset; the first failure is
+    returned as (offset from level n-3, label, expected total, node).
+    """
+    d = rule.d
+    wants = tuple(expected_edge_total(offset, 3, d) for offset in range(3))
+    seen: tuple[set[TreeNode], set[TreeNode]] = (set(), set())
 
-    seen_second_last: set[TreeNode] = set()
-    seen_last: set[TreeNode] = set()
-    for node in sorted(frontier, key=lambda nd: nd.by_window):
-        for m in range(d):
-            label = edge_label(node, rule, m)
-            w = violation(0, d * d, label, node)
-            if w is not None:
-                return w
-            mid = child(label, NodeClass.SECOND_LAST)
-            if mid in seen_second_last:
-                continue
-            seen_second_last.add(mid)
-            for m2 in range(d):
-                label2 = edge_label(mid, rule, m2)
-                w = violation(1, d, label2, mid)
-                if w is not None:
-                    return w
-                last = child(label2, NodeClass.LAST)
-                if last in seen_last:
+    def walk(nodes: Iterable[TreeNode], offset: int) -> tuple | None:
+        want, node_class = wants[offset], _TAIL_CLASSES[offset]
+        for node in nodes:
+            for m in range(d):
+                label = edge_label(node, rule, m)
+                if label.total() != want:
+                    return offset, label, want, node
+                if node_class is None:
                     continue
-                seen_last.add(last)
-                for m3 in range(d):
-                    label3 = edge_label(last, rule, m3)
-                    w = violation(2, 1, label3, last)
-                    if w is not None:
-                        return w
-    return None
+                nxt = child(label, node_class)
+                if nxt in seen[offset]:
+                    continue
+                seen[offset].add(nxt)
+                found = walk((nxt,), offset + 1)
+                if found is not None:
+                    return found
+        return None
+
+    return walk(sorted(frontier, key=lambda nd: nd.by_window), 0)
 
 
 def _unbalanced_witness(rule: Rule) -> Witness:
-    counts = ", ".join(
-        f"{m}:{c}" for m, c in enumerate(rule.state_counts())
-    )
+    counts = ", ".join(f"{m}:{c}" for m, c in enumerate(rule.state_counts()))
     return Witness(
         kind="unbalanced",
         detail=f"state counts {counts} differ from {rule.d * rule.d} each",
@@ -368,15 +304,12 @@ def decide(
 
     w = closure.first_interior_violation(n - 4)
     if w is None:
-        w = _tail_witness(_check_tail(rule, closure.frontier_at(n - 3), rule.d), n)
+        tail = closure._tail_violation(n - 3)
+        if tail is not None:
+            offset, label, expected, node = tail
+            w = _witness(n - 3 + offset, label, expected, node)
     return Verdict(
-        rule,
-        n,
-        w is None,
-        w,
-        closure.preperiod,
-        closure.period,
-        closure.frontier_sizes(),
+        rule, n, w is None, w, closure.preperiod, closure.period, closure.frontier_sizes()
     )
 
 
@@ -386,28 +319,8 @@ def decide_range(
     n_hi: int,
     node_budget: int | None = None,
 ) -> Mapping[int, Verdict]:
-    """Decide every cell count in [n_lo, n_hi], sharing one closure.
-
-    The tail check only depends on the frontier value at level n-3, so it
-    is memoized per canonical frontier level.
-    """
+    """Decide every cell count in [n_lo, n_hi], sharing one closure."""
     if not 3 <= n_lo <= n_hi:
         raise ValueError(f"need 3 <= n_lo <= n_hi, got {n_lo}..{n_hi}")
-    if not is_balanced(rule):
-        w = _unbalanced_witness(rule)
-        return {n: Verdict(rule, n, False, w, None, None, ()) for n in range(n_lo, n_hi + 1)}
     closure = FrontierClosure(rule, node_budget=node_budget)
-    tail_memo: dict[int, _TailViolation | None] = {}
-    out: dict[int, Verdict] = {}
-    for n in range(n_lo, n_hi + 1):
-        w = closure.first_interior_violation(n - 4)
-        if w is None:
-            key = closure.canonical_level(n - 3)
-            if key not in tail_memo:
-                tail_memo[key] = _check_tail(rule, closure.frontier_at(n - 3), rule.d)
-            w = _tail_witness(tail_memo[key], n)
-        out[n] = Verdict(
-            rule, n, w is None, w,
-            closure.preperiod, closure.period, closure.frontier_sizes(),
-        )
-    return out
+    return {n: decide(rule, n, closure) for n in range(n_lo, n_hi + 1)}

@@ -8,23 +8,16 @@ experiment tool, not a performance path.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, read_budget
 from .evolution import Configuration
 from .rules import Rule, format_rule
 
 DEFAULT_ORACLE_BUDGET = 10_000_000
 _ORACLE_BUDGET_ENV = "REVCA_ORACLE_BUDGET"
-
-
-def _budget(override: int | None) -> int:
-    if override is not None:
-        return override
-    return int(os.environ.get(_ORACLE_BUDGET_ENV, DEFAULT_ORACLE_BUDGET))
 
 
 @dataclass(frozen=True)
@@ -61,7 +54,7 @@ def _successors(rule: Rule, n: int, budget: int | None) -> np.ndarray:
         raise ValueError(f"cell count must be >= 3, got {n}")
     d = rule.d
     size = d ** n
-    limit = _budget(budget)
+    limit = read_budget(budget, _ORACLE_BUDGET_ENV, DEFAULT_ORACLE_BUDGET)
     if size > limit:
         raise ResourceLimitError(
             f"{d}^{n} = {size} configurations exceed the oracle budget {limit} "

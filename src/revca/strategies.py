@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 import warnings
 from functools import lru_cache
 from math import factorial
@@ -185,7 +186,15 @@ def sample_strategy(strategy: str, d: int, count: int, seed: int) -> list[Rule]:
             )
         return list(enumerate_strategy(strategy, d))
     rng = random.Random(seed)
-    indices = rng.sample(range(size), count)
+    if size <= sys.maxsize:
+        indices = rng.sample(range(size), count)
+    else:
+        # random.sample needs len(range(size)), which overflows here; this
+        # is its own draw-and-reject loop for large populations
+        picked: dict[int, None] = {}
+        while len(picked) < count:
+            picked[rng.randrange(size)] = None
+        indices = list(picked)
     return [rule_at(strategy, d, i) for i in indices]
 
 

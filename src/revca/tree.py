@@ -55,21 +55,14 @@ def _second_last_filters(d: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class TreeNode:
-    """A node value: d**2 RMT bitmasks indexed by starting window."""
+class _WindowSets:
+    """d**2 RMT bitmasks indexed by starting window."""
 
     d: int
     by_window: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.by_window) != self.d * self.d:
-            raise ValueError(f"need {self.d * self.d} window sets")
-
     def window_set(self, w: int) -> RmtSet:
         return RmtSet(self.by_window[w], self.d ** 3)
-
-    def rmt_sets(self) -> tuple[RmtSet, ...]:
-        return tuple(self.window_set(w) for w in range(self.d * self.d))
 
     def total(self) -> int:
         """RMT count summed over window sets (with multiplicity)."""
@@ -86,27 +79,25 @@ class TreeNode:
 
 
 @dataclass(frozen=True)
-class EdgeLabel:
-    """The part of a node that exits through one edge state."""
+class TreeNode(_WindowSets):
+    """A node value: d**2 RMT bitmasks indexed by starting window."""
 
-    d: int
-    by_window: tuple[int, ...]
+    def __post_init__(self):
+        if len(self.by_window) != self.d * self.d:
+            raise ValueError(f"need {self.d * self.d} window sets")
+
+    def rmt_sets(self) -> tuple[RmtSet, ...]:
+        return tuple(self.window_set(w) for w in range(self.d * self.d))
+
+
+@dataclass(frozen=True)
+class EdgeLabel(_WindowSets):
+    """The part of a node that exits through one edge state.
+
+    Built on the hot path by ``edge_label``, so it is not validated.
+    """
+
     edge_state: int
-
-    def total(self) -> int:
-        return sum(m.bit_count() for m in self.by_window)
-
-    def union_mask(self) -> int:
-        u = 0
-        for m in self.by_window:
-            u |= m
-        return u
-
-    def is_empty(self) -> bool:
-        return all(m == 0 for m in self.by_window)
-
-    def window_set(self, w: int) -> RmtSet:
-        return RmtSet(self.by_window[w], self.d ** 3)
 
 
 def root(d: int) -> TreeNode:

@@ -111,6 +111,12 @@ def test_gen_sample_is_seeded(capsys):
     assert len(out1.splitlines()) == 5
 
 
+def test_gen_sample_beyond_machine_int(capsys):
+    code, out, _ = run(capsys, "gen", "--strategy", "I", "--states", "4", "--sample", "3")
+    assert code == 0
+    assert len(out.splitlines()) == 3
+
+
 def test_gen_pipes_into_check(capsys):
     _, out, _ = run(capsys, "gen", "--strategy", "II", "--states", "2", "--all")
     rules = out.splitlines()
@@ -175,6 +181,26 @@ def test_resource_errors_exit_3(capsys, monkeypatch):
     )
     assert code == 3
     assert "resource" in err
+
+
+CHECK_ARGS = ("check", "--states", "3", "--rule", "000111222000111222000111222", "--cells", "10")
+ORACLE_ARGS = ("oracle", "--states", "3", "--rule", FIG1_RULE, "--cells", "4")
+
+
+@pytest.mark.parametrize(
+    "env, value, argv",
+    [
+        ("REVCA_NODE_BUDGET", "-5", CHECK_ARGS),
+        ("REVCA_NODE_BUDGET", "0", CHECK_ARGS),
+        ("REVCA_NODE_BUDGET", "abc", CHECK_ARGS),
+        ("REVCA_ORACLE_BUDGET", "-1", ORACLE_ARGS),
+    ],
+)
+def test_bad_budget_env_is_usage_error(capsys, monkeypatch, env, value, argv):
+    monkeypatch.setenv(env, value)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert env in err and value in err
 
 
 def test_argparse_usage_exit_code():

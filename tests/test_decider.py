@@ -1,5 +1,6 @@
 """The minimized-tree decision procedure and its frontier closure."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -10,9 +11,13 @@ from revca import (
     Rule,
     decide,
     decide_range,
+    edge_label,
+    expected_edge_total,
     frontier_closure,
     oracle_is_reversible,
     parse_rule,
+    random_balanced_rules,
+    sample_strategy,
 )
 
 FIG1_RULE = "201210210201210210201210210"
@@ -109,15 +114,39 @@ def test_decide_reuses_provided_closure():
         decide(other, 5, closure=closure)
 
 
+def _witness_fields(witness):
+    if witness is None:
+        return None
+    return dataclasses.replace(witness, detail="")
+
+
 def test_decide_range_matches_individual_decides():
-    for text in (FIG2_RULE, ODD_ONLY_RULE, SHIFTED_BLOCKS_RULE):
+    # the odd-only and shifted-blocks closures repeat, so n = 40 reaches
+    # frontiers far past the materialized ones
+    for text, n_hi in ((FIG2_RULE, 10), (ODD_ONLY_RULE, 40), (SHIFTED_BLOCKS_RULE, 40)):
         rule = parse_rule(text, 3)
-        ranged = decide_range(rule, 3, 10)
-        for n in range(3, 11):
+        ranged = decide_range(rule, 3, n_hi)
+        for n in range(3, n_hi + 1):
             single = decide(rule, n)
             assert ranged[n].reversible == single.reversible
-            if not single.reversible:
-                assert ranged[n].witness.level == single.witness.level
+            assert _witness_fields(ranged[n].witness) == _witness_fields(single.witness)
+
+
+def test_witnesses_are_self_consistent():
+    rules = [Rule(2, bits) for bits in itertools.product(range(2), repeat=8)]
+    rules += random_balanced_rules(3, 30, seed=5)
+    rules += sample_strategy("I", 3, 10, seed=5)
+    levels = set()
+    for rule in rules:
+        for n in range(3, 11):
+            w = decide(rule, n).witness
+            if w is None or w.kind != "edge_total":
+                continue
+            actual = edge_label(w.node, rule, w.edge_state).total()
+            assert actual == w.actual != w.expected == expected_edge_total(w.level, n, rule.d)
+            levels.add(w.level - n)
+    # interior levels and all three ring-closing levels are covered
+    assert {-3, -2, -1} <= levels and min(levels) < -3
 
 
 def test_decide_range_examples():

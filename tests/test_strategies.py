@@ -117,6 +117,17 @@ def test_sampling_is_deterministic():
     assert a != c
 
 
+@pytest.mark.parametrize("strategy", ["I", "II"])
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_sampling_families_beyond_machine_int(strategy, d):
+    # (d!)**(d**2) exceeds sys.maxsize from d = 4 on
+    rules = sample_strategy(strategy, d, 5, seed=3)
+    assert len(set(rules)) == 5
+    assert all(strategy_index_of(strategy, r) is not None for r in rules)
+    assert sample_strategy(strategy, d, 5, seed=3) == rules
+    assert sample_strategy(strategy, d, 5, seed=4) != rules
+
+
 def test_sampling_clips_to_family():
     full = list(enumerate_strategy_I(2))
     assert sample_strategy("I", 2, 16, seed=0) == full
