@@ -54,9 +54,6 @@ from .strategies import (
     STRATEGIES,
     count_balanced,
     enumerate_strategy,
-    enumerate_strategy_I,
-    enumerate_strategy_II,
-    enumerate_strategy_III,
     random_balanced_rules,
     rule_at,
     sample_strategy,
@@ -64,11 +61,8 @@ from .strategies import (
     strategy_index_of,
 )
 from .tree import (
-    CardinalityViolation,
-    EdgeLabel,
     NodeClass,
     TreeNode,
-    check_edge_cardinality,
     child,
     edge_label,
     expected_edge_total,
@@ -82,12 +76,10 @@ __version__ = "0.1.0"
 __all__ = [
     "MAX_STATES",
     "STRATEGIES",
-    "CardinalityViolation",
     "Configuration",
     "ConjectureReport",
     "DeBruijnEdge",
     "DeBruijnGraph",
-    "EdgeLabel",
     "FrontierClosure",
     "GlobalMapSummary",
     "InjectivityResult",
@@ -102,7 +94,6 @@ __all__ = [
     "Verdict",
     "Witness",
     "build_debruijn",
-    "check_edge_cardinality",
     "child",
     "conjecture_experiment",
     "count_balanced",
@@ -110,9 +101,6 @@ __all__ = [
     "decide_range",
     "edge_label",
     "enumerate_strategy",
-    "enumerate_strategy_I",
-    "enumerate_strategy_II",
-    "enumerate_strategy_III",
     "equi_set",
     "expected_edge_total",
     "export_dot",

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (for ``check``: reversible for every requested cell
 count), 1 irreversible, 2 usage or parse error, 3 resource budget
-exceeded. All randomness sits behind an explicit --seed.
+exceeded or out of memory, 4 internal error (an unexpected exception,
+reported in one line). All randomness sits behind an explicit --seed.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .strategies import STRATEGIES, enumerate_strategy, sample_strategy
 
 USAGE_ERROR = 2
 RESOURCE_ERROR = 3
+INTERNAL_ERROR = 4
 
 
 def _add_rule_args(p: argparse.ArgumentParser) -> None:
@@ -188,8 +190,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return RESOURCE_ERROR
+    except MemoryError as exc:
+        print(f"resource limit: out of memory: {exc}", file=sys.stderr)
+        return RESOURCE_ERROR
     except BrokenPipeError:
         return 0
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

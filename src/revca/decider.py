@@ -28,7 +28,7 @@ from typing import Iterable, Mapping
 
 from .errors import ResourceLimitError, read_budget
 from .rules import Rule, format_rule, is_balanced
-from .tree import EdgeLabel, NodeClass, TreeNode, child, edge_label, expected_edge_total, root
+from .tree import NodeClass, TreeNode, child, edge_label, expected_edge_total, root
 
 DEFAULT_NODE_BUDGET = 100_000
 _NODE_BUDGET_ENV = "REVCA_NODE_BUDGET"
@@ -56,18 +56,18 @@ class Witness:
     node: TreeNode | None = None
 
 
-def _witness(level: int, label: EdgeLabel, expected: int, node: TreeNode) -> Witness:
-    """The witness for ``label``, an edge of ``node`` at ``level`` whose
-    RMT count differs from ``expected``."""
-    actual = label.total()
+def _witness(rule: Rule, level: int, node: TreeNode, m: int, expected: int) -> Witness:
+    """The witness for the m-edge of ``node`` at ``level``, whose RMT
+    count differs from ``expected``."""
+    actual = edge_label(node, rule, m).total()
     return Witness(
         kind="edge_total",
         detail=(
-            f"level {level}: edge for state {label.edge_state} carries "
+            f"level {level}: edge for state {m} carries "
             f"{actual} RMTs, a complete tree needs {expected}"
         ),
         level=level,
-        edge_state=label.edge_state,
+        edge_state=m,
         expected=expected,
         actual=actual,
         node=node,
@@ -128,8 +128,8 @@ class FrontierClosure:
         self.frontiers: list[frozenset[TreeNode]] = [frozenset([root(rule.d)])]
         self._frontier_index: dict[frozenset[TreeNode], int] = {self.frontiers[0]: 0}
         self._violations: list[Witness | None] = []
-        # node -> (children, first edge label off the interior total)
-        self._expansions: dict[TreeNode, tuple[tuple[TreeNode, ...], EdgeLabel | None]] = {}
+        # node -> (children, first edge state off the interior total)
+        self._expansions: dict[TreeNode, tuple[tuple[TreeNode, ...], int | None]] = {}
         self._tails: dict[int, tuple | None] = {}
         self.preperiod: int | None = None
         self.period: int | None = None
@@ -151,7 +151,7 @@ class FrontierClosure:
     def frontier_sizes(self) -> tuple[int, ...]:
         return tuple(len(f) for f in self.frontiers)
 
-    def _expand(self, node: TreeNode) -> tuple[tuple[TreeNode, ...], EdgeLabel | None]:
+    def _expand(self, node: TreeNode) -> tuple[tuple[TreeNode, ...], int | None]:
         cached = self._expansions.get(node)
         if cached is not None:
             return cached
@@ -166,7 +166,7 @@ class FrontierClosure:
         for m in range(self.rule.d):
             label = edge_label(node, self.rule, m)
             if label.total() != want and violation is None:
-                violation = label
+                violation = m
             children.append(child(label, NodeClass.INTERIOR))
         result = self._expansions[node] = (tuple(children), violation)
         return result
@@ -176,10 +176,10 @@ class FrontierClosure:
         level = len(self.frontiers) - 1
         nxt: set[TreeNode] = set()
         violation = None
-        for node in sorted(self.frontiers[-1], key=lambda nd: nd.by_window):
+        for node in sorted(self.frontiers[-1], key=lambda nd: nd.bits):
             children, bad = self._expand(node)
             if bad is not None and violation is None:
-                violation = _witness(level, bad, self._interior_total, node)
+                violation = _witness(self.rule, level, node, bad, self._interior_total)
                 if self.fail_fast:
                     break
             nxt.update(children)
@@ -251,7 +251,7 @@ def _check_tail(rule: Rule, frontier: Iterable[TreeNode]) -> tuple | None:
     applying the two ring-closing filters. Depends only on the frontier.
 
     Depth first, each distinct child once per offset; the first failure is
-    returned as (offset from level n-3, label, expected total, node).
+    returned as (offset from level n-3, edge state, expected total, node).
     """
     d = rule.d
     wants = tuple(expected_edge_total(offset, 3, d) for offset in range(3))
@@ -263,7 +263,7 @@ def _check_tail(rule: Rule, frontier: Iterable[TreeNode]) -> tuple | None:
             for m in range(d):
                 label = edge_label(node, rule, m)
                 if label.total() != want:
-                    return offset, label, want, node
+                    return offset, m, want, node
                 if node_class is None:
                     continue
                 nxt = child(label, node_class)
@@ -275,7 +275,7 @@ def _check_tail(rule: Rule, frontier: Iterable[TreeNode]) -> tuple | None:
                     return found
         return None
 
-    return walk(sorted(frontier, key=lambda nd: nd.by_window), 0)
+    return walk(sorted(frontier, key=lambda nd: nd.bits), 0)
 
 
 def _unbalanced_witness(rule: Rule) -> Witness:
@@ -298,16 +298,16 @@ def decide(
     if not is_balanced(rule):
         return Verdict(rule, n, False, _unbalanced_witness(rule), None, None, ())
     if closure is None:
-        closure = FrontierClosure(rule, node_budget=node_budget)
-    elif closure.rule is not rule and closure.rule != rule:
+        return decide_range(rule, n, n, node_budget)[n]
+    if closure.rule is not rule and closure.rule != rule:
         raise ValueError("closure was built for a different rule")
 
     w = closure.first_interior_violation(n - 4)
     if w is None:
         tail = closure._tail_violation(n - 3)
         if tail is not None:
-            offset, label, expected, node = tail
-            w = _witness(n - 3 + offset, label, expected, node)
+            offset, m, expected, node = tail
+            w = _witness(rule, n - 3 + offset, node, m, expected)
     return Verdict(
         rule, n, w is None, w, closure.preperiod, closure.period, closure.frontier_sizes()
     )
@@ -323,4 +323,10 @@ def decide_range(
     if not 3 <= n_lo <= n_hi:
         raise ValueError(f"need 3 <= n_lo <= n_hi, got {n_lo}..{n_hi}")
     closure = FrontierClosure(rule, node_budget=node_budget)
-    return {n: decide(rule, n, closure) for n in range(n_lo, n_hi + 1)}
+    try:
+        return {n: decide(rule, n, closure) for n in range(n_lo, n_hi + 1)}
+    except ResourceLimitError as exc:
+        # The frames the error passed through hold the tree; a caller that
+        # keeps the error must not keep the tree alive with it.
+        del closure
+        raise exc.with_traceback(None)

@@ -1,5 +1,6 @@
 """Exception types and resource budgets shared across the package."""
 
+import operator
 import os
 
 
@@ -24,17 +25,17 @@ class ResourceLimitError(RuntimeError):
 
 
 def read_budget(override: int | None, env_var: str, default: int) -> int:
-    """``override`` if given, else the positive integer in ``env_var``,
-    else ``default``; any other value of the variable is a ValueError."""
-    if override is not None:
-        return override
-    text = os.environ.get(env_var)
-    if text is None:
+    """``override`` if given, else the value of ``env_var``, else
+    ``default``. A given value that is not a positive integer is a
+    ValueError."""
+    raw = os.environ.get(env_var) if override is None else override
+    if raw is None:
         return default
     try:
-        value = int(text)
-    except ValueError:
+        value = int(raw) if override is None else operator.index(raw)
+    except (TypeError, ValueError):
         value = 0
     if value < 1:
-        raise ValueError(f"{env_var} must be a positive integer, got {text!r}")
+        name = env_var if override is None else "budget"
+        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
     return value

@@ -157,18 +157,6 @@ def strategy_index_of(strategy: str, rule: Rule) -> int | None:
     return len(perms) + index
 
 
-def enumerate_strategy_I(d: int) -> Iterator[Rule]:
-    return enumerate_strategy("I", d)
-
-
-def enumerate_strategy_II(d: int) -> Iterator[Rule]:
-    return enumerate_strategy("II", d)
-
-
-def enumerate_strategy_III(d: int) -> Iterator[Rule]:
-    return enumerate_strategy("III", d)
-
-
 def sample_strategy(strategy: str, d: int, count: int, seed: int) -> list[Rule]:
     """Uniform sample without replacement, reproducible for a given seed.
 

@@ -24,6 +24,13 @@ Derivation rules, given a node N at level i:
 All cardinalities used by the completeness conditions count RMTs *with
 multiplicity across window sets* (the same RMT may be a candidate for
 several starting windows at once).
+
+A node and an edge label are the same object, ``TreeNode(d, bits)``:
+``bits`` packs the d**2 window sets into one d**5-bit int, window set w
+being the d**3-bit field at ``(d**2 - 1 - w) * d**3``. Window 0 is the
+most significant field, so ordering nodes by ``bits`` is the
+lexicographic order of their ``by_window`` tuples; the decider sorts
+frontiers by ``bits`` and relies on this to pick the same witness.
 """
 
 from __future__ import annotations
@@ -31,8 +38,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable, NamedTuple
 
-from .rmtset import RmtSet, iter_bits
+from .rmtset import RmtSet
 from .rules import Rule, _equi_masks, _sibl_masks, validate_state_count
 
 
@@ -45,28 +53,42 @@ class NodeClass(enum.Enum):
     LEAF = "leaf"                # level n: plain sibling expansion
 
 
-@lru_cache(maxsize=None)
-def _second_last_filters(d: int) -> tuple[int, ...]:
-    """filters[w] = mask of RMTs with r mod d == w // d."""
-    residue_masks = [0] * d
-    for r in range(d ** 3):
-        residue_masks[r % d] |= 1 << r
-    return tuple(residue_masks[w // d] for w in range(d * d))
+@dataclass(frozen=True, slots=True)
+class TreeNode:
+    """d**2 RMT sets, one per starting window, packed into ``bits``.
 
-
-@dataclass(frozen=True)
-class _WindowSets:
-    """d**2 RMT bitmasks indexed by starting window."""
+    Built unchecked on the hot path; ``from_windows`` validates its input.
+    """
 
     d: int
-    by_window: tuple[int, ...]
+    bits: int
+
+    @classmethod
+    def from_windows(cls, d: int, masks: Iterable[int]) -> TreeNode:
+        """Pack ``masks[w]``, the RMT bitmask of window set w."""
+        masks = tuple(masks)
+        width = d ** 3
+        if len(masks) != d * d:
+            raise ValueError(f"need {d * d} window sets")
+        bits = 0
+        for m in masks:
+            if m < 0 or m >> width:
+                raise ValueError(f"window set {m:#x} has bits outside [0, {width})")
+            bits = bits << width | m
+        return cls(d, bits)
+
+    @property
+    def by_window(self) -> tuple[int, ...]:
+        width = self.d ** 3
+        full = (1 << width) - 1
+        return tuple(self.bits >> (i * width) & full for i in reversed(range(self.d * self.d)))
 
     def window_set(self, w: int) -> RmtSet:
         return RmtSet(self.by_window[w], self.d ** 3)
 
     def total(self) -> int:
         """RMT count summed over window sets (with multiplicity)."""
-        return sum(m.bit_count() for m in self.by_window)
+        return self.bits.bit_count()
 
     def union_mask(self) -> int:
         u = 0
@@ -75,84 +97,84 @@ class _WindowSets:
         return u
 
     def is_empty(self) -> bool:
-        return all(m == 0 for m in self.by_window)
+        return self.bits == 0
 
 
-@dataclass(frozen=True)
-class TreeNode(_WindowSets):
-    """A node value: d**2 RMT bitmasks indexed by starting window."""
-
-    def __post_init__(self):
-        if len(self.by_window) != self.d * self.d:
-            raise ValueError(f"need {self.d * self.d} window sets")
-
-    def rmt_sets(self) -> tuple[RmtSet, ...]:
-        return tuple(self.window_set(w) for w in range(self.d * self.d))
+class _Layout(NamedTuple):
+    replicate: int                       # bit 0 of every window field
+    fold_shifts: tuple[int, ...]         # t * d**2 for t in 1..d-1
+    classes: int                         # low d**2 bits of every field
+    spread: tuple[tuple[int, int], ...]  # (bits to move, shift) per step
+    second_last: int                     # packed SECOND_LAST filter
+    last: int                            # packed LAST filter
 
 
-@dataclass(frozen=True)
-class EdgeLabel(_WindowSets):
-    """The part of a node that exits through one edge state.
-
-    Built on the hot path by ``edge_label``, so it is not validated.
-    """
-
-    edge_state: int
+@lru_cache(maxsize=None)
+def _layout(d: int) -> _Layout:
+    dd, width = d * d, d ** 3
+    replicate = sum(1 << (w * width) for w in range(dd))
+    # Class c sits at bit c of its field and must reach bit d*c. Move it
+    # by (d-1) * 2**k for each binary digit k of c, highest digit first;
+    # positions stay increasing in c, so no two classes ever collide.
+    spread, pos = [], list(range(dd))
+    for k in reversed(range((dd - 1).bit_length())):
+        move = sum(1 << pos[c] for c in range(dd) if c >> k & 1)
+        spread.append((move * replicate, (d - 1) << k))
+        pos = [p + ((d - 1) << k if c >> k & 1 else 0) for c, p in enumerate(pos)]
+    residue = [sum(1 << r for r in range(width) if r % d == s) for s in range(d)]
+    return _Layout(
+        replicate=replicate,
+        fold_shifts=tuple(t * dd for t in range(1, d)),
+        classes=((1 << dd) - 1) * replicate,
+        spread=tuple(spread),
+        second_last=TreeNode.from_windows(d, (residue[w // d] for w in range(dd))).bits,
+        last=TreeNode.from_windows(d, _equi_masks(d)).bits,
+    )
 
 
 def root(d: int) -> TreeNode:
     """Window set w starts with the sibling set of w: first two cells fixed,
     third free."""
     validate_state_count(d)
-    return TreeNode(d, _sibl_masks(d))
+    return TreeNode.from_windows(d, _sibl_masks(d))
 
 
-def edge_label(node: TreeNode, rule: Rule, m: int) -> EdgeLabel:
+def edge_label(node: TreeNode, rule: Rule, m: int) -> TreeNode:
     """Restrict every window set to the RMTs that output m."""
-    if not 0 <= m < node.d:
-        raise ValueError(f"edge state {m} out of range [0, {node.d})")
-    vm = rule.value_masks[m]
-    return EdgeLabel(node.d, tuple(g & vm for g in node.by_window), m)
+    d = node.d
+    if not 0 <= m < d:
+        raise ValueError(f"edge state {m} out of range [0, {d})")
+    return TreeNode(d, node.bits & rule.value_masks[m] * _layout(d).replicate)
 
 
-def _expand_mask(mask: int, d: int, sibl: tuple[int, ...]) -> int:
-    """Union of successor sibling sets over the RMTs in ``mask``.
+def child(label: TreeNode, node_class: NodeClass) -> TreeNode:
+    """Materialize the node an edge leads to, applying the class filter.
 
-    Successors depend on r only through r mod d**2, so fold the mask into
-    one d**2-bit class mask first.
+    Successors depend on r only through r mod d**2: fold each window set
+    to its d**2 classes, move class c to bit d*c and fill it to the d
+    bits of sibling set c.
     """
-    dd = d * d
-    classes = mask
-    for t in range(1, d):
-        classes |= mask >> (t * dd)
-    classes &= (1 << dd) - 1
-    out = 0
-    for cls in iter_bits(classes):
-        out |= sibl[cls]
-    return out
-
-
-def child(label: EdgeLabel, node_class: NodeClass) -> TreeNode:
-    """Materialize the node an edge leads to, applying the class filter."""
-    d = label.d
-    sibl = _sibl_masks(d)
-    expanded = [_expand_mask(m, d, sibl) for m in label.by_window]
+    d, bits = label.d, label.bits
+    layout = _layout(d)
+    f = bits
+    for s in layout.fold_shifts:
+        f |= bits >> s
+    f &= layout.classes
+    for move, s in layout.spread:
+        t = f & move
+        f = f ^ t | t << s
+    f = (f << d) - f
     if node_class is NodeClass.SECOND_LAST:
-        filters = _second_last_filters(d)
-        expanded = [m & filters[w] for w, m in enumerate(expanded)]
+        f &= layout.second_last
     elif node_class is NodeClass.LAST:
-        equi = _equi_masks(d)
-        expanded = [m & equi[w] for w, m in enumerate(expanded)]
-    return TreeNode(d, tuple(expanded))
+        f &= layout.last
+    return TreeNode(d, f)
 
 
 def node_is_balanced(node: TreeNode, rule: Rule) -> bool:
     """True iff each next-state value labels the same number of the node's
     RMTs (counted with multiplicity across window sets)."""
-    counts = []
-    for vm in rule.value_masks:
-        counts.append(sum((g & vm).bit_count() for g in node.by_window))
-    return len(set(counts)) == 1
+    return len({edge_label(node, rule, m).total() for m in range(node.d)}) == 1
 
 
 def expected_edge_total(level: int, n: int, d: int) -> int:
@@ -167,24 +189,6 @@ def expected_edge_total(level: int, n: int, d: int) -> int:
     if level == n - 2:
         return d
     return 1
-
-
-@dataclass(frozen=True)
-class CardinalityViolation:
-    level: int
-    edge_state: int
-    expected: int
-    actual: int
-
-
-def check_edge_cardinality(label: EdgeLabel, level: int, n: int) -> CardinalityViolation | None:
-    """None when the label meets the completeness cardinality for its level,
-    otherwise the violation details."""
-    want = expected_edge_total(level, n, label.d)
-    got = label.total()
-    if got == want:
-        return None
-    return CardinalityViolation(level, label.edge_state, want, got)
 
 
 def format_node(node: TreeNode) -> str:

@@ -19,9 +19,6 @@ from revca import (
     decide_range,
     edge_label,
     enumerate_strategy,
-    enumerate_strategy_I,
-    enumerate_strategy_II,
-    enumerate_strategy_III,
     is_balanced,
     node_is_balanced,
     oracle_is_reversible,
@@ -114,11 +111,11 @@ def test_criterion_3_counting():
             if is_balanced(Rule(2, bits))
         )
         assert scan == 70
-        fam_i = {r.table for r in enumerate_strategy_I(2)}
-        fam_ii = {r.table for r in enumerate_strategy_II(2)}
+        fam_i = {r.table for r in enumerate_strategy("I", 2)}
+        fam_ii = {r.table for r in enumerate_strategy("II", 2)}
         assert len(fam_i) == 16
         assert len(fam_ii) == 16
-        fam_iii = {r.table for r in enumerate_strategy_III(3)}
+        fam_iii = {r.table for r in enumerate_strategy("III", 3)}
         assert len(fam_iii) == 222
 
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from revca import parse_rule
+from revca import cli
 from revca.cli import main
 
 FIG1_RULE = "201210210201210210201210210"
@@ -181,6 +182,24 @@ def test_resource_errors_exit_3(capsys, monkeypatch):
     )
     assert code == 3
     assert "resource" in err
+
+
+@pytest.mark.parametrize(
+    "exc, code, line",
+    [
+        (MemoryError("Unable to allocate 4.33 PiB"), 3, "resource limit: out of memory: Unable to allocate 4.33 PiB"),
+        (RuntimeError("boom\nsecond line"), 4, "internal error: RuntimeError: boom second line"),
+    ],
+)
+def test_crashes_never_exit_1(capsys, monkeypatch, exc, code, line):
+    def crash(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "oracle", crash)
+    got, out, err = run(capsys, *ORACLE_ARGS)
+    assert got == code
+    assert out == ""
+    assert err == line + "\n"
 
 
 CHECK_ARGS = ("check", "--states", "3", "--rule", "000111222000111222000111222", "--cells", "10")

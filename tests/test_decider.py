@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import traceback
 
 import pytest
 
@@ -24,6 +25,20 @@ FIG1_RULE = "201210210201210210201210210"
 FIG2_RULE = "201012210201012210201012210"
 SHIFTED_BLOCKS_RULE = "000111222000111222000111222"
 ODD_ONLY_RULE = "102221010102221010102221010"
+REVERSIBLE_D4 = (
+    "0123" * 16,
+    "1111222200003333" * 4,
+    # Strategy III rules, reversible at odd n and at every n
+    "2222111100003333222233331111000022221111000033332222000033331111",
+    "0000333322221111333311110000222211110000222233331111000022223333",
+    "1111000022223333111122220000333311112222000033332222111100003333",
+    "3333000011112222222211110000333322221111000033333333111100002222",
+)
+REVERSIBLE_D5 = (
+    "2" * 25 + "1" * 25 + "4" * 25 + "3" * 25 + "0" * 25,
+    "43210" * 25,
+    "0000011111222223333344444" * 5,
+)
 
 
 def test_unbalanced_rule_rejected_without_tree():
@@ -136,6 +151,9 @@ def test_witnesses_are_self_consistent():
     rules = [Rule(2, bits) for bits in itertools.product(range(2), repeat=8)]
     rules += random_balanced_rules(3, 30, seed=5)
     rules += sample_strategy("I", 3, 10, seed=5)
+    rules += [parse_rule(text, 4) for text in REVERSIBLE_D4]
+    rules += random_balanced_rules(4, 10, seed=5)
+    rules += sample_strategy("III", 4, 10, seed=5)
     levels = set()
     for rule in rules:
         for n in range(3, 11):
@@ -180,6 +198,26 @@ def test_node_budget_is_enforced():
         decide(rule, 100, node_budget=2)
 
 
+def test_kept_budget_error_holds_no_tree():
+    # a caller may keep the error (the benchmark does); its frames must
+    # not keep the closure, and so the whole tree, alive
+    rule = parse_rule(SHIFTED_BLOCKS_RULE, 3)
+    for call in (lambda: decide(rule, 100, node_budget=2), lambda: decide_range(rule, 3, 100, node_budget=2)):
+        with pytest.raises(ResourceLimitError) as info:
+            call()
+        held = [v for frame, _ in traceback.walk_tb(info.value.__traceback__) for v in frame.f_locals.values()]
+        assert not any(isinstance(v, FrontierClosure) for v in held)
+
+
+def test_bad_node_budget_argument_is_value_error():
+    rule = parse_rule(SHIFTED_BLOCKS_RULE, 3)
+    for bad in (0, -3, 2.5):
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            decide(rule, 10, node_budget=bad)
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            FrontierClosure(rule, node_budget=bad)
+
+
 def test_node_budget_env_override(monkeypatch):
     monkeypatch.setenv("REVCA_NODE_BUDGET", "2")
     rule = parse_rule(SHIFTED_BLOCKS_RULE, 3)
@@ -209,3 +247,19 @@ def test_matches_oracle_for_all_two_state_rules_small():
         rule = Rule(2, bits)
         for n in (3, 4, 5):
             assert decide(rule, n).reversible == oracle_is_reversible(rule, n).bijective
+
+
+def test_matches_oracle_at_four_and_five_states():
+    cases = [(parse_rule(text, 4), 7) for text in REVERSIBLE_D4]
+    cases += [(parse_rule(text, 5), 5) for text in REVERSIBLE_D5]
+    for d, n_hi in ((4, 7), (5, 5)):
+        cases += [(rule, n_hi) for rule in random_balanced_rules(d, 10, seed=9)]
+        for strategy in ("I", "II", "III"):
+            cases += [(rule, n_hi) for rule in sample_strategy(strategy, d, 10, seed=9)]
+    outcomes = set()
+    for rule, n_hi in cases:
+        verdicts = decide_range(rule, 3, n_hi)
+        for n in range(3, n_hi + 1):
+            assert verdicts[n].reversible == oracle_is_reversible(rule, n).bijective, (rule.table, n)
+            outcomes.add((rule.d, verdicts[n].reversible))
+    assert outcomes == {(4, True), (4, False), (5, True), (5, False)}

@@ -72,6 +72,15 @@ def test_budget_enforced():
         oracle_is_reversible(rule, 5, budget=16)
 
 
+def test_bad_budget_argument_is_value_error():
+    rule = parse_rule(FIG1_RULE, 3)
+    for bad in (0, -1, -3, 2.5):
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            oracle_is_reversible(rule, 4, budget=bad)
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            find_nonreachable(rule, 4, budget=bad)
+
+
 def test_summary_serialization():
     record = oracle_is_reversible(parse_rule(FIG1_RULE, 3), 4).to_dict()
     assert record["schema"] == "revca/global-map:1"

@@ -12,9 +12,6 @@ from revca import (
     count_balanced,
     edge_label,
     enumerate_strategy,
-    enumerate_strategy_I,
-    enumerate_strategy_II,
-    enumerate_strategy_III,
     equi_set,
     format_rule,
     is_balanced,
@@ -44,29 +41,29 @@ def test_count_balanced_matches_exhaustive_scan():
 
 
 def test_family_sizes_by_enumeration():
-    fam_i = [format_rule(r) for r in enumerate_strategy_I(2)]
-    fam_ii = [format_rule(r) for r in enumerate_strategy_II(2)]
+    fam_i = [format_rule(r) for r in enumerate_strategy("I", 2)]
+    fam_ii = [format_rule(r) for r in enumerate_strategy("II", 2)]
     assert len(fam_i) == len(set(fam_i)) == 16 == strategy_family_size("I", 2)
     assert len(fam_ii) == len(set(fam_ii)) == 16 == strategy_family_size("II", 2)
-    fam_iii = [format_rule(r) for r in enumerate_strategy_III(3)]
+    fam_iii = [format_rule(r) for r in enumerate_strategy("III", 3)]
     assert len(fam_iii) == len(set(fam_iii)) == 222 == strategy_family_size("III", 3)
     assert strategy_family_size("III", 3) == math.factorial(3) + math.factorial(3) ** 3
 
 
 def test_strategy_iii_arms_are_disjoint():
-    fam = [format_rule(r) for r in enumerate_strategy_III(2)]
+    fam = [format_rule(r) for r in enumerate_strategy("III", 2)]
     assert len(fam) == len(set(fam)) == 2 + 4
 
 
 def test_strategy_definitions_hold():
-    for rule in enumerate_strategy_I(2):
+    for rule in enumerate_strategy("I", 2):
         for i in range(4):
             values = {rule[r] for r in equi_set(i, 2)}
             assert len(values) == 2
-    for rule in enumerate_strategy_II(2):
+    for rule in enumerate_strategy("II", 2):
         for j in range(4):
             assert len({rule[2 * j], rule[2 * j + 1]}) == 2
-    for rule in enumerate_strategy_III(3):
+    for rule in enumerate_strategy("III", 3):
         for j in range(9):
             assert len({rule[3 * j + k] for k in range(3)}) == 1
 
@@ -129,7 +126,7 @@ def test_sampling_families_beyond_machine_int(strategy, d):
 
 
 def test_sampling_clips_to_family():
-    full = list(enumerate_strategy_I(2))
+    full = list(enumerate_strategy("I", 2))
     assert sample_strategy("I", 2, 16, seed=0) == full
     with pytest.warns(UserWarning):
         clipped = sample_strategy("I", 2, 99, seed=0)

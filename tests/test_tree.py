@@ -7,7 +7,7 @@ import pytest
 from revca import (
     NodeClass,
     Rule,
-    check_edge_cardinality,
+    TreeNode,
     child,
     edge_label,
     expected_edge_total,
@@ -74,11 +74,44 @@ def test_labels_partition_every_window_set():
 def test_interior_child_expands_to_sibling_sets():
     label_sets = [0] * 9
     label_sets[0] = 1 << 1  # only RMT 1 in window set 0
-    from revca.tree import EdgeLabel
-
-    node = child(EdgeLabel(3, tuple(label_sets), 0), NodeClass.INTERIOR)
+    node = child(TreeNode.from_windows(3, label_sets), NodeClass.INTERIOR)
     assert set(node.window_set(0)) == {3, 4, 5}
     assert all(node.by_window[w] == 0 for w in range(1, 9))
+
+
+def _child_by_the_paper(label, node_class, w):
+    """Window set w of the child: every RMT r of the label's window set w
+    adds sibling set r mod d**2, then the class filter applies."""
+    d = label.d
+    keep = {
+        NodeClass.SECOND_LAST: lambda s: s % d == w // d,
+        NodeClass.LAST: lambda s: s % (d * d) == w,
+    }.get(node_class, lambda s: True)
+    return {s for r in label.window_set(w) for s in sibl_set(r % (d * d), d) if keep(s)}
+
+
+def _random_label(rng, d):
+    # a few repeated masks, so nodes often agree on their leading windows
+    pool = [0, 1 << rng.randrange(d ** 3), rng.getrandbits(d ** 3) & rng.getrandbits(d ** 3)]
+    return TreeNode.from_windows(d, [rng.choice(pool) for _ in range(d * d)])
+
+
+def test_child_matches_the_paper_rule_at_every_d():
+    rng = random.Random(5)
+    for d in range(2, 7):
+        for _ in range(6):
+            label = _random_label(rng, d)
+            for klass in NodeClass:
+                node = child(label, klass)
+                for w in range(d * d):
+                    assert set(node.window_set(w)) == _child_by_the_paper(label, klass, w), (d, klass, w)
+
+
+def test_bits_order_is_window_order():
+    rng = random.Random(6)
+    for d in range(2, 7):
+        nodes = [_random_label(rng, d) for _ in range(40)]
+        assert sorted(nodes, key=lambda nd: nd.bits) == sorted(nodes, key=lambda nd: nd.by_window)
 
 
 def test_empty_label_gives_empty_child():
@@ -153,7 +186,7 @@ def test_check_edge_cardinality_interior():
     node = root(3)
     for _ in range(3):  # a few interior levels, any edge state
         label = edge_label(node, rule, 0)
-        assert check_edge_cardinality(label, 0, 10) is None
+        assert label.total() == expected_edge_total(0, 10, 3)
         assert label.total() == 9
         node = child(label, NodeClass.INTERIOR)
 
@@ -166,10 +199,10 @@ def test_check_edge_cardinality_violation():
     for klass in (NodeClass.INTERIOR, NodeClass.SECOND_LAST, NodeClass.LAST):
         node = child(edge_label(node, rule, 0), klass)
     label = edge_label(node, rule, 1)
-    violation = check_edge_cardinality(label, 3, 4)
-    assert violation is not None
-    assert violation.actual == 0
-    assert violation.expected == 1
+    actual, expected = label.total(), expected_edge_total(3, 4, 3)
+    assert actual != expected
+    assert actual == 0
+    assert expected == 1
 
 
 def test_leaf_edges_of_reversible_ca_carry_one_rmt():
@@ -178,10 +211,10 @@ def test_leaf_edges_of_reversible_ca_carry_one_rmt():
     node = root(3)
     for level, klass in ((1, NodeClass.INTERIOR), (2, NodeClass.SECOND_LAST), (3, NodeClass.LAST)):
         label = edge_label(node, rule, 1)
-        assert check_edge_cardinality(label, level - 1, n) is None
+        assert label.total() == expected_edge_total(level - 1, n, 3)
         node = child(label, klass)
     for m in range(3):
-        assert check_edge_cardinality(edge_label(node, rule, m), 3, n) is None
+        assert edge_label(node, rule, m).total() == expected_edge_total(3, n, 3)
 
 
 def _reachable_by_tree(rule, n):
