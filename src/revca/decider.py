@@ -28,14 +28,23 @@ from typing import Iterable, Mapping
 
 from .errors import ResourceLimitError, read_budget
 from .rules import Rule, format_rule, is_balanced
-from .tree import NodeClass, TreeNode, child, edge_label, expected_edge_total, root
+from .tree import (
+    NodeClass,
+    TreeNode,
+    class_filter,
+    edge_label,
+    expected_edge_total,
+    label_masks,
+    root,
+    successors,
+)
 
 DEFAULT_NODE_BUDGET = 100_000
 _NODE_BUDGET_ENV = "REVCA_NODE_BUDGET"
 
-# Classes of the nodes the ring-closing edges at levels n-3, n-2 and n-1
-# lead to; leaves (after n-1) are not checked.
-_TAIL_CLASSES = (NodeClass.SECOND_LAST, NodeClass.LAST, None)
+# Classes of the nodes the ring-closing edges at levels n-3 and n-2 lead
+# to; the leaves after level n-1 are not checked.
+_TAIL_CLASSES = (NodeClass.SECOND_LAST, NodeClass.LAST)
 
 
 @dataclass(frozen=True)
@@ -56,9 +65,10 @@ class Witness:
     node: TreeNode | None = None
 
 
-def _witness(rule: Rule, level: int, node: TreeNode, m: int, expected: int) -> Witness:
-    """The witness for the m-edge of ``node`` at ``level``, whose RMT
-    count differs from ``expected``."""
+def _witness(rule: Rule, level: int, bits: int, m: int, expected: int) -> Witness:
+    """The witness for the m-edge of the node ``bits`` at ``level``, whose
+    RMT count differs from ``expected``."""
+    node = TreeNode(rule.d, bits)
     actual = edge_label(node, rule, m).total()
     return Witness(
         kind="edge_total",
@@ -106,9 +116,11 @@ class Verdict:
 class FrontierClosure:
     """Lazily computed frontier sequence of one rule.
 
-    ``frontiers[l]`` is the frozenset of node values at level l of the
-    full tree. Expansion results are cached per node value (the
-    cross-level repeat mechanism), and whole-frontier repeats give the
+    ``frontier_at(l)`` is the frozenset of node values at level l of the
+    full tree. Inside, a node is its packed ``bits`` and a frontier a
+    frozenset of them; ``levels``, ``frontier_at`` and witnesses wrap
+    them into ``TreeNode``. Expansion results are cached per node value
+    (the cross-level repeat mechanism), and whole-frontier repeats give the
     (preperiod, period) pair used to index any level arithmetically.
     Ring-closing checks are cached per materialized frontier, so every
     decision sharing the closure reuses them.
@@ -125,11 +137,12 @@ class FrontierClosure:
         self.fail_fast = fail_fast
         # every interior edge carries what level 0 of a 3-cell ring carries
         self._interior_total = expected_edge_total(0, 3, rule.d)
-        self.frontiers: list[frozenset[TreeNode]] = [frozenset([root(rule.d)])]
-        self._frontier_index: dict[frozenset[TreeNode], int] = {self.frontiers[0]: 0}
+        self._masks = label_masks(rule)
+        self._frontiers: list[frozenset[int]] = [frozenset([root(rule.d).bits])]
+        self._frontier_index: dict[frozenset[int], int] = {self._frontiers[0]: 0}
         self._violations: list[Witness | None] = []
-        # node -> (children, first edge state off the interior total)
-        self._expansions: dict[TreeNode, tuple[tuple[TreeNode, ...], int | None]] = {}
+        # node bits -> (children bits, first edge state off the interior total)
+        self._expansions: dict[int, tuple[list[int], int | None]] = {}
         self._tails: dict[int, tuple | None] = {}
         self.preperiod: int | None = None
         self.period: int | None = None
@@ -139,20 +152,24 @@ class FrontierClosure:
     def closed(self) -> bool:
         return self.period is not None
 
+    def _nodes(self, frontier: frozenset[int]) -> frozenset[TreeNode]:
+        d = self.rule.d
+        return frozenset(TreeNode(d, bits) for bits in frontier)
+
     @property
     def levels(self) -> tuple[frozenset[TreeNode], ...]:
         """The materialized frontier sequence."""
-        return tuple(self.frontiers)
+        return tuple(self._nodes(f) for f in self._frontiers)
 
     @property
     def levels_computed(self) -> int:
-        return len(self.frontiers)
+        return len(self._frontiers)
 
     def frontier_sizes(self) -> tuple[int, ...]:
-        return tuple(len(f) for f in self.frontiers)
+        return tuple(len(f) for f in self._frontiers)
 
-    def _expand(self, node: TreeNode) -> tuple[tuple[TreeNode, ...], int | None]:
-        cached = self._expansions.get(node)
+    def _expand(self, bits: int) -> tuple[list[int], int | None]:
+        cached = self._expansions.get(bits)
         if cached is not None:
             return cached
         if len(self._expansions) >= self.node_budget:
@@ -161,25 +178,23 @@ class FrontierClosure:
                 f"raise the budget (env {_NODE_BUDGET_ENV}) to continue"
             )
         want = self._interior_total
-        children = []
         violation = None
-        for m in range(self.rule.d):
-            label = edge_label(node, self.rule, m)
-            if label.total() != want and violation is None:
+        for m, mask in enumerate(self._masks):
+            if (bits & mask).bit_count() != want:
                 violation = m
-            children.append(child(label, NodeClass.INTERIOR))
-        result = self._expansions[node] = (tuple(children), violation)
+                break
+        result = self._expansions[bits] = (successors(self.rule.d, bits, self._masks), violation)
         return result
 
     def _advance(self) -> None:
         """Compute the next frontier from the last one."""
-        level = len(self.frontiers) - 1
-        nxt: set[TreeNode] = set()
+        level = len(self._frontiers) - 1
+        nxt: set[int] = set()
         violation = None
-        for node in sorted(self.frontiers[-1], key=lambda nd: nd.bits):
-            children, bad = self._expand(node)
+        for bits in sorted(self._frontiers[-1]):
+            children, bad = self._expand(bits)
             if bad is not None and violation is None:
-                violation = _witness(self.rule, level, node, bad, self._interior_total)
+                violation = _witness(self.rule, level, bits, bad, self._interior_total)
                 if self.fail_fast:
                     break
             nxt.update(children)
@@ -188,13 +203,13 @@ class FrontierClosure:
             self._aborted_at = level
             return
         frontier = frozenset(nxt)
-        self.frontiers.append(frontier)
+        self._frontiers.append(frontier)
         seen_at = self._frontier_index.get(frontier)
         if seen_at is not None:
             self.preperiod = seen_at
-            self.period = len(self.frontiers) - 1 - seen_at
+            self.period = len(self._frontiers) - 1 - seen_at
         else:
-            self._frontier_index[frontier] = len(self.frontiers) - 1
+            self._frontier_index[frontier] = len(self._frontiers) - 1
 
     def first_interior_violation(self, max_level: int) -> Witness | None:
         """Lowest-level interior cardinality violation among edge levels
@@ -213,26 +228,26 @@ class FrontierClosure:
 
     def _level_index(self, level: int) -> int:
         """The materialized level holding the frontier of ``level``."""
-        while level >= len(self.frontiers) and not self.closed:
+        while level >= len(self._frontiers) and not self.closed:
             if self._aborted_at is not None:
                 raise RuntimeError(
                     f"frontier {level} unavailable: expansion stopped at the "
                     f"level-{self._aborted_at} violation"
                 )
             self._advance()
-        if level < len(self.frontiers):
+        if level < len(self._frontiers):
             return level
         q, p = self.preperiod, self.period
         return q + (level - q) % p
 
     def frontier_at(self, level: int) -> frozenset[TreeNode]:
-        return self.frontiers[self._level_index(level)]
+        return self._nodes(self._frontiers[self._level_index(level)])
 
     def _tail_violation(self, level: int) -> tuple | None:
         """The ring-closing check of frontier ``level`` taken as level n-3."""
         key = self._level_index(level)
         if key not in self._tails:
-            self._tails[key] = _check_tail(self.rule, self.frontiers[key])
+            self._tails[key] = _check_tail(self.rule, self._frontiers[key])
         return self._tails[key]
 
 
@@ -241,32 +256,40 @@ def frontier_closure(rule: Rule, node_budget: int | None = None) -> FrontierClos
     if not is_balanced(rule):
         raise ValueError("frontier closure is defined for balanced rules")
     closure = FrontierClosure(rule, node_budget=node_budget, fail_fast=False)
-    while not closure.closed:
-        closure._advance()
+    try:
+        while not closure.closed:
+            closure._advance()
+    except ResourceLimitError as exc:
+        # as in decide_range: a kept error must not keep the tree alive
+        del closure
+        raise exc.with_traceback(None)
     return closure
 
 
-def _check_tail(rule: Rule, frontier: Iterable[TreeNode]) -> tuple | None:
+def _check_tail(rule: Rule, frontier: Iterable[int]) -> tuple | None:
     """Check the three final edge levels from the level-(n-3) frontier,
     applying the two ring-closing filters. Depends only on the frontier.
 
     Depth first, each distinct child once per offset; the first failure is
-    returned as (offset from level n-3, edge state, expected total, node).
+    returned as (offset from level n-3, edge state, expected total, node
+    bits).
     """
     d = rule.d
+    masks = label_masks(rule)
     wants = tuple(expected_edge_total(offset, 3, d) for offset in range(3))
-    seen: tuple[set[TreeNode], set[TreeNode]] = (set(), set())
+    filters = tuple(class_filter(d, node_class) for node_class in _TAIL_CLASSES)
+    seen: tuple[set[int], set[int]] = (set(), set())
 
-    def walk(nodes: Iterable[TreeNode], offset: int) -> tuple | None:
-        want, node_class = wants[offset], _TAIL_CLASSES[offset]
-        for node in nodes:
-            for m in range(d):
-                label = edge_label(node, rule, m)
-                if label.total() != want:
-                    return offset, m, want, node
-                if node_class is None:
+    def walk(nodes: Iterable[int], offset: int) -> tuple | None:
+        want = wants[offset]
+        for bits in nodes:
+            children = successors(d, bits, masks) if offset < 2 else None
+            for m, mask in enumerate(masks):
+                if (bits & mask).bit_count() != want:
+                    return offset, m, want, bits
+                if children is None:
                     continue
-                nxt = child(label, node_class)
+                nxt = children[m] & filters[offset]
                 if nxt in seen[offset]:
                     continue
                 seen[offset].add(nxt)
@@ -275,7 +298,7 @@ def _check_tail(rule: Rule, frontier: Iterable[TreeNode]) -> tuple | None:
                     return found
         return None
 
-    return walk(sorted(frontier, key=lambda nd: nd.bits), 0)
+    return walk(sorted(frontier), 0)
 
 
 def _unbalanced_witness(rule: Rule) -> Witness:
@@ -295,6 +318,10 @@ def decide(
     """Decide reversibility of the n-cell CA under ``rule``."""
     if n < 3:
         raise ValueError(f"cell count must be >= 3, got {n}")
+    if node_budget is not None:
+        if closure is not None:
+            raise ValueError("pass a closure or a node_budget, not both: a closure has its own")
+        read_budget(node_budget, _NODE_BUDGET_ENV, DEFAULT_NODE_BUDGET)
     if not is_balanced(rule):
         return Verdict(rule, n, False, _unbalanced_witness(rule), None, None, ())
     if closure is None:
@@ -306,8 +333,8 @@ def decide(
     if w is None:
         tail = closure._tail_violation(n - 3)
         if tail is not None:
-            offset, m, expected, node = tail
-            w = _witness(rule, n - 3 + offset, node, m, expected)
+            offset, m, expected, bits = tail
+            w = _witness(rule, n - 3 + offset, bits, m, expected)
     return Verdict(
         rule, n, w is None, w, closure.preperiod, closure.period, closure.frontier_sizes()
     )

@@ -29,8 +29,10 @@ A node and an edge label are the same object, ``TreeNode(d, bits)``:
 ``bits`` packs the d**2 window sets into one d**5-bit int, window set w
 being the d**3-bit field at ``(d**2 - 1 - w) * d**3``. Window 0 is the
 most significant field, so ordering nodes by ``bits`` is the
-lexicographic order of their ``by_window`` tuples; the decider sorts
-frontiers by ``bits`` and relies on this to pick the same witness.
+lexicographic order of their ``by_window`` tuples; the decider holds
+frontiers as sets of ``bits``, sorts them as plain ints and relies on
+this to pick the same witness. ``successors`` is the one child kernel:
+``child`` and the decider both derive children through it.
 """
 
 from __future__ import annotations
@@ -139,36 +141,59 @@ def root(d: int) -> TreeNode:
     return TreeNode.from_windows(d, _sibl_masks(d))
 
 
+def label_masks(rule: Rule) -> tuple[int, ...]:
+    """Packed edge masks: ``bits & label_masks(rule)[m]`` is the m-edge
+    label of a node of ``rule.d`` states."""
+    replicate = _layout(rule.d).replicate
+    return tuple(mask * replicate for mask in rule.value_masks)
+
+
 def edge_label(node: TreeNode, rule: Rule, m: int) -> TreeNode:
     """Restrict every window set to the RMTs that output m."""
     d = node.d
+    if rule.d != d:
+        raise ValueError(f"node has {d} states, rule has {rule.d}")
     if not 0 <= m < d:
         raise ValueError(f"edge state {m} out of range [0, {d})")
     return TreeNode(d, node.bits & rule.value_masks[m] * _layout(d).replicate)
 
 
-def child(label: TreeNode, node_class: NodeClass) -> TreeNode:
-    """Materialize the node an edge leads to, applying the class filter.
+def successors(d: int, bits: int, masks: Iterable[int]) -> list[int]:
+    """The interior child of the label ``bits & mask``, for each mask.
 
     Successors depend on r only through r mod d**2: fold each window set
     to its d**2 classes, move class c to bit d*c and fill it to the d
     bits of sibling set c.
     """
-    d, bits = label.d, label.bits
     layout = _layout(d)
-    f = bits
-    for s in layout.fold_shifts:
-        f |= bits >> s
-    f &= layout.classes
-    for move, s in layout.spread:
-        t = f & move
-        f = f ^ t | t << s
-    f = (f << d) - f
+    fold_shifts, classes, spread = layout.fold_shifts, layout.classes, layout.spread
+    out = []
+    for mask in masks:
+        label = bits & mask
+        f = label
+        for s in fold_shifts:
+            f |= label >> s
+        f &= classes
+        for move, s in spread:
+            t = f & move
+            f = f ^ t | t << s
+        out.append((f << d) - f)
+    return out
+
+
+def class_filter(d: int, node_class: NodeClass) -> int:
+    """The packed mask ``child`` ANDs into a node of ``node_class``."""
     if node_class is NodeClass.SECOND_LAST:
-        f &= layout.second_last
-    elif node_class is NodeClass.LAST:
-        f &= layout.last
-    return TreeNode(d, f)
+        return _layout(d).second_last
+    if node_class is NodeClass.LAST:
+        return _layout(d).last
+    return -1
+
+
+def child(label: TreeNode, node_class: NodeClass) -> TreeNode:
+    """Materialize the node an edge leads to, applying the class filter."""
+    (f,) = successors(label.d, label.bits, (-1,))
+    return TreeNode(label.d, f & class_filter(label.d, node_class))
 
 
 def node_is_balanced(node: TreeNode, rule: Rule) -> bool:

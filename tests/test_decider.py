@@ -5,11 +5,16 @@ import itertools
 import traceback
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revca import (
     FrontierClosure,
+    NodeClass,
     ResourceLimitError,
     Rule,
+    TreeNode,
+    child,
     decide,
     decide_range,
     edge_label,
@@ -18,7 +23,10 @@ from revca import (
     oracle_is_reversible,
     parse_rule,
     random_balanced_rules,
+    root,
+    rule_at,
     sample_strategy,
+    strategy_family_size,
 )
 
 FIG1_RULE = "201210210201210210201210210"
@@ -118,6 +126,24 @@ def test_closure_periodicity_indexing():
         assert closure.frontier_at(level) == closure.frontier_at(q + (level - q) % p)
 
 
+def test_closure_levels_are_tree_nodes_at_the_boundary():
+    # the closure holds packed ints inside; callers (bench/layers.py among
+    # them) see TreeNodes equal to the frontiers derived by hand
+    texts = ((ODD_ONLY_RULE, 3), (FIG2_RULE, 3), ("01011010", 2), (REVERSIBLE_D4[2], 4))
+    for text, d in texts:
+        rule = parse_rule(text, d)
+        closure = frontier_closure(rule)
+        for frontier in closure.levels:
+            assert all(isinstance(nd, TreeNode) and nd.d == d for nd in frontier)
+        by_hand = {root(d)}
+        for level in range(40):  # preperiods here are 2..4
+            frontier = closure.frontier_at(level)
+            assert all(isinstance(nd, TreeNode) and nd.d == d for nd in frontier)
+            assert frontier == by_hand, (text, level)
+            labels = [edge_label(nd, rule, m) for nd in by_hand for m in range(d)]
+            by_hand = {child(label, NodeClass.INTERIOR) for label in labels}
+
+
 def test_decide_reuses_provided_closure():
     rule = parse_rule(SHIFTED_BLOCKS_RULE, 3)
     closure = FrontierClosure(rule)
@@ -202,7 +228,12 @@ def test_kept_budget_error_holds_no_tree():
     # a caller may keep the error (the benchmark does); its frames must
     # not keep the closure, and so the whole tree, alive
     rule = parse_rule(SHIFTED_BLOCKS_RULE, 3)
-    for call in (lambda: decide(rule, 100, node_budget=2), lambda: decide_range(rule, 3, 100, node_budget=2)):
+    calls = (
+        lambda: decide(rule, 100, node_budget=2),
+        lambda: decide_range(rule, 3, 100, node_budget=2),
+        lambda: frontier_closure(rule, node_budget=2),
+    )
+    for call in calls:
         with pytest.raises(ResourceLimitError) as info:
             call()
         held = [v for frame, _ in traceback.walk_tb(info.value.__traceback__) for v in frame.f_locals.values()]
@@ -216,6 +247,12 @@ def test_bad_node_budget_argument_is_value_error():
             decide(rule, 10, node_budget=bad)
         with pytest.raises(ValueError, match=f"got {bad}"):
             FrontierClosure(rule, node_budget=bad)
+        # checked before the balance check, so an unbalanced rule too
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            decide(Rule(2, (0,) * 8), 6, node_budget=bad)
+    # a closure carries its own budget
+    with pytest.raises(ValueError, match="closure"):
+        decide(rule, 10, closure=FrontierClosure(rule), node_budget=5)
 
 
 def test_node_budget_env_override(monkeypatch):
@@ -263,3 +300,32 @@ def test_matches_oracle_at_four_and_five_states():
             assert verdicts[n].reversible == oracle_is_reversible(rule, n).bijective, (rule.table, n)
             outcomes.add((rule.d, verdicts[n].reversible))
     assert outcomes == {(4, True), (4, False), (5, True), (5, False)}
+
+
+# the oracle enumerates d**n configurations; stay below this many
+_ORACLE_CONFIGS = 20_000
+
+
+@st.composite
+def _drawn_rules(draw):
+    d = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(("table", "balanced", "I", "II", "III")))
+    if kind == "table":
+        states = st.integers(0, d - 1)
+        return Rule(d, tuple(draw(st.lists(states, min_size=d ** 3, max_size=d ** 3))))
+    if kind == "balanced":
+        return Rule(d, tuple(draw(st.permutations([r % d for r in range(d ** 3)]))))
+    return rule_at(kind, d, draw(st.integers(0, strategy_family_size(kind, d) - 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_drawn_rules())
+def test_tree_matches_oracle_on_drawn_rules(rule):
+    n = 3
+    while rule.d ** n <= _ORACLE_CONFIGS:
+        verdict = decide(rule, n)
+        assert verdict.reversible == oracle_is_reversible(rule, n).bijective, (rule.table, n)
+        w = verdict.witness
+        if w is not None and w.kind == "edge_total":
+            assert edge_label(w.node, rule, w.edge_state).total() == w.actual != w.expected
+        n += 1

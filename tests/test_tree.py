@@ -48,6 +48,12 @@ def test_edge_label_of_constant_rule():
     assert label.is_empty()
 
 
+def test_edge_label_rejects_rule_of_other_state_count():
+    rule = parse_rule(SHIFTED_BLOCKS_RULE, 3)
+    with pytest.raises(ValueError, match="2 states, rule has 3"):
+        edge_label(root(2), rule, 1)
+
+
 def test_edge_label_union_example_d2():
     rule = parse_rule("01011010", 2)
     label = edge_label(root(2), rule, 1)
