@@ -37,7 +37,6 @@ from .infinite import (
     pair_graph,
 )
 from .oracle import GlobalMapSummary, find_nonreachable, oracle_is_reversible
-from .rmtset import RmtSet
 from .rules import (
     MAX_STATES,
     Rule,
@@ -87,7 +86,6 @@ __all__ = [
     "NodeClass",
     "OrbitResult",
     "ResourceLimitError",
-    "RmtSet",
     "Rule",
     "RuleFormatError",
     "TreeNode",

@@ -100,7 +100,7 @@ def _cmd_check(args) -> int:
         verdicts = decide_range(rule, lo, hi)
     if args.format == "json":
         records = [v.to_dict() for v in verdicts.values()]
-        if len(records) == 1:
+        if args.cells is not None:
             print(json.dumps(records[0]))
         else:
             print(json.dumps({"schema": "revca/verdict-range:1", "results": records}))

@@ -38,7 +38,7 @@ def parse_configuration(text: str, d: int) -> Configuration:
     if len(cells) < 3:
         raise RuleFormatError("a ring needs at least 3 cells")
     for pos, s in enumerate(cells):
-        if s >= d:
+        if not 0 <= s < d:
             raise RuleFormatError(f"cell state {s} at position {pos} invalid for d={d}", pos)
     return cells
 

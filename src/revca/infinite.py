@@ -14,6 +14,13 @@ Bruijn graph is strongly connected. Hence:
 
 and looping that cycle yields two distinct spatially periodic
 configurations with the same image -- the returned witness.
+
+Theorem: a rule injective on the lattice is reversible on the n-cell ring
+for every n >= 3. Two distinct n-rings with one image, each repeated with
+period n, are two distinct bi-infinite configurations with one image,
+because the update of a periodic configuration repeats the ring update.
+The converse fails: a rule can be reversible at some n, even at
+infinitely many, without being injective on the lattice.
 """
 
 from __future__ import annotations
@@ -205,9 +212,12 @@ class RuleExperiment:
 
 @dataclass(frozen=True)
 class ConjectureReport:
-    """Empirical evidence only: reversibility on the unbounded lattice
-    versus on every tested ring size. A non-empty ``counterexamples`` list
-    would be a research finding, not an expected outcome."""
+    """Reversibility on the unbounded lattice versus on every tested ring
+    size. ``counterexamples`` (injective rules irreversible at some tested
+    n) is empty by the theorem in the module docstring, so a non-empty
+    list means a defect in the decider or in ``infinite_injective``.
+    ``finite_only`` holds the rules reversible at some tested n that are
+    not injective on the lattice."""
 
     d: int
     n_lo: int

@@ -53,13 +53,15 @@ def _successors(rule: Rule, n: int, budget: int | None) -> np.ndarray:
     if n < 3:
         raise ValueError(f"cell count must be >= 3, got {n}")
     d = rule.d
-    size = d ** n
     limit = read_budget(budget, _ORACLE_BUDGET_ENV, DEFAULT_ORACLE_BUDGET)
-    if size > limit:
+    # d**n > limit whenever n > limit.bit_length(), since d >= 2; deciding
+    # that first never builds (or prints) a giant d**n
+    if n > limit.bit_length() or d ** n > limit:
         raise ResourceLimitError(
-            f"{d}^{n} = {size} configurations exceed the oracle budget {limit} "
+            f"{d}^{n} configurations exceed the oracle budget {limit} "
             f"(env {_ORACLE_BUDGET_ENV})"
         )
+    size = d ** n
     table = np.asarray(rule.table, dtype=np.int64)
     configs = np.arange(size, dtype=np.int64)
     # cell i is the digit with place value d**(n-1-i)
@@ -87,7 +89,10 @@ def oracle_is_reversible(rule: Rule, n: int, budget: int | None = None) -> Globa
 def find_nonreachable(
     rule: Rule, n: int, limit: int | None = None, budget: int | None = None
 ) -> list[Configuration]:
-    """Configurations with no predecessor, in lexicographic order."""
+    """Configurations with no predecessor, in lexicographic order; at most
+    ``limit`` of them when it is given."""
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     succ = _successors(rule, n, budget)
     counts = np.bincount(succ, minlength=rule.d ** n)
     missing = np.flatnonzero(counts == 0)

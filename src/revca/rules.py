@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import RuleFormatError
-from .rmtset import RmtSet
 
 #: Default hard cap on states per cell. d = 6 already means rule tables of
 #: 216 entries and strategy families of size (6!)^36; anything larger is
@@ -55,36 +54,33 @@ def rmt_decompose(r: int, d: int) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=None)
-def _sibl_masks(d: int) -> tuple[int, ...]:
-    base = (1 << d) - 1
-    return tuple(base << (d * j) for j in range(d * d))
+def _equi_sets(d: int) -> tuple[tuple[int, ...], ...]:
+    """Every Equi(i), i in [0, d**2), each in ascending order."""
+    dd = d * d
+    return tuple(tuple(range(i, d ** 3, dd)) for i in range(dd))
 
 
 @lru_cache(maxsize=None)
-def _equi_masks(d: int) -> tuple[int, ...]:
-    masks = []
-    for i in range(d * d):
-        m = 0
-        for t in range(d):
-            m |= 1 << (t * d * d + i)
-        masks.append(m)
-    return tuple(masks)
+def _sibl_sets(d: int) -> tuple[tuple[int, ...], ...]:
+    """Every Sibl(j), j in [0, d**2), each in ascending order."""
+    return tuple(tuple(range(d * j, d * j + d)) for j in range(d * d))
 
 
-def equi_set(i: int, d: int) -> RmtSet:
-    """The d RMTs equivalent to RMT i (equal last two symbols)."""
+def equi_set(i: int, d: int) -> tuple[int, ...]:
+    """The d RMTs equivalent to RMT i (equal last two symbols), ascending."""
     validate_state_count(d)
     if not 0 <= i < d * d:
         raise ValueError(f"equivalent-set index {i} out of range [0, {d * d})")
-    return RmtSet(_equi_masks(d)[i], d ** 3)
+    return _equi_sets(d)[i]
 
 
-def sibl_set(j: int, d: int) -> RmtSet:
-    """The d RMTs sibling to each other under index j (equal first two symbols)."""
+def sibl_set(j: int, d: int) -> tuple[int, ...]:
+    """The d RMTs sibling to each other under index j (equal first two
+    symbols), ascending."""
     validate_state_count(d)
     if not 0 <= j < d * d:
         raise ValueError(f"sibling-set index {j} out of range [0, {d * d})")
-    return RmtSet(_sibl_masks(d)[j], d ** 3)
+    return _sibl_sets(d)[j]
 
 
 @dataclass(frozen=True)
@@ -167,7 +163,7 @@ def parse_rule(text: str, d: int, max_states: int = MAX_STATES) -> Rule:
                 raise RuleFormatError(f"non-digit {ch!r} at position {pos}", pos)
             values.append(int(ch))
     for pos, v in enumerate(values):
-        if v >= d:
+        if not 0 <= v < d:
             raise RuleFormatError(
                 f"symbol {v} at position {pos} is not a valid state for d={d}", pos
             )

@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterator, Sequence
 
-from .rules import MAX_STATES, Rule, validate_state_count
+from .rules import MAX_STATES, Rule, _equi_sets, _sibl_sets, validate_state_count
 
 STRATEGIES = ("I", "II", "III")
 
@@ -56,11 +56,26 @@ def strategy_family_size(strategy: str, d: int) -> int:
 
 
 def _digits(index: int, base: int, count: int) -> list[int]:
+    """The ``count`` base-``base`` digits of ``index``, least significant first."""
     out = []
     for _ in range(count):
         out.append(index % base)
         index //= base
     return out
+
+
+def _from_digits(digits: Sequence[int], base: int) -> int:
+    """Inverse of :func:`_digits`."""
+    index = 0
+    for digit in reversed(digits):
+        index = index * base + digit
+    return index
+
+
+def _rmt_sets(strategy: str, d: int) -> tuple[tuple[int, ...], ...]:
+    """The sets a family spreads its permutations over: the equivalent
+    sets for Strategy I, the sibling sets for Strategies II and III."""
+    return _equi_sets(d) if strategy == "I" else _sibl_sets(d)
 
 
 def rule_at(strategy: str, d: int, index: int) -> Rule:
@@ -69,35 +84,23 @@ def rule_at(strategy: str, d: int, index: int) -> Rule:
     if not 0 <= index < size:
         raise ValueError(f"index {index} out of range [0, {size}) for strategy {strategy}")
     perms = _perms(d)
-    dd = d * d
-    table = [0] * d ** 3
-    if strategy == "I":
-        # one permutation per equivalent set: table[k*d^2 + i] = perm_i[k]
-        for i, digit in enumerate(_digits(index, len(perms), dd)):
-            perm = perms[digit]
-            for k in range(d):
-                table[k * dd + i] = perm[k]
-    elif strategy == "II":
-        # one permutation per sibling set: table[d*j + k] = perm_j[k]
-        for j, digit in enumerate(_digits(index, len(perms), dd)):
-            perm = perms[digit]
-            for k in range(d):
-                table[d * j + k] = perm[k]
+    if strategy != "III":
+        # one permutation per set: the k-th RMT of set s gets perm_s[k]
+        columns = [perms[digit] for digit in _digits(index, len(perms), d * d)]
     else:
-        # sibling sets constant; blocks of d sibling sets get their values
-        # from one shared permutation (arm A) or one permutation per block
-        # (arm B).
+        # sibling sets constant; the d sibling sets of block b get their
+        # values from one shared permutation (arm A, entry b for all) or
+        # from one permutation per block (arm B)
         if index < len(perms):
-            block_values = [[perms[index][b]] * d for b in range(d)]
+            values = [v for v in perms[index] for _ in range(d)]
         else:
             digits = _digits(index - len(perms), len(perms), d)
-            block_values = [list(perms[digit]) for digit in digits]
-        for b in range(d):
-            for t in range(d):
-                j = b * d + t
-                v = block_values[b][t]
-                for k in range(d):
-                    table[d * j + k] = v
+            values = [v for digit in digits for v in perms[digit]]
+        columns = [(v,) * d for v in values]
+    table = [0] * d ** 3
+    for rmts, column in zip(_rmt_sets(strategy, d), columns):
+        for r, v in zip(rmts, column):
+            table[r] = v
     return Rule(d, tuple(table))
 
 
@@ -114,47 +117,21 @@ def strategy_index_of(strategy: str, rule: Rule) -> int | None:
     enumerating the (d!)**(d**2)-sized families.
     """
     d = rule.d
-    dd = d * d
+    strategy_family_size(strategy, d)  # validates the strategy name
     perms = _perms(d)
     perm_index = {p: i for i, p in enumerate(perms)}
-    strategy_family_size(strategy, d)  # validates the strategy name
-    if strategy in ("I", "II"):
-        digits = []
-        for s in range(dd):
-            if strategy == "I":
-                column = tuple(rule.table[k * dd + s] for k in range(d))
-            else:
-                column = tuple(rule.table[d * s + k] for k in range(d))
-            digit = perm_index.get(column)
-            if digit is None:
-                return None
-            digits.append(digit)
-        index = 0
-        for digit in reversed(digits):
-            index = index * len(perms) + digit
-        return index
+    columns = [tuple(rule.table[r] for r in rmts) for rmts in _rmt_sets(strategy, d)]
+    if strategy != "III":
+        digits = [perm_index.get(column) for column in columns]
+        return None if None in digits else _from_digits(digits, len(perms))
     # Strategy III: all sibling sets constant, then arm A or arm B.
-    values = []
-    for j in range(dd):
-        block = {rule.table[d * j + k] for k in range(d)}
-        if len(block) != 1:
-            return None
-        values.append(next(iter(block)))
-    blocks = [tuple(values[b * d : (b + 1) * d]) for b in range(d)]
+    if any(len(set(column)) != 1 for column in columns):
+        return None
+    blocks = [tuple(column[0] for column in columns[b * d : (b + 1) * d]) for b in range(d)]
     if all(len(set(bv)) == 1 for bv in blocks):
-        shared = tuple(bv[0] for bv in blocks)
-        digit = perm_index.get(shared)
-        return None if digit is None else digit
-    digits = []
-    for bv in blocks:
-        digit = perm_index.get(bv)
-        if digit is None:
-            return None
-        digits.append(digit)
-    index = 0
-    for digit in reversed(digits):
-        index = index * len(perms) + digit
-    return len(perms) + index
+        return perm_index.get(tuple(bv[0] for bv in blocks))
+    digits = [perm_index.get(bv) for bv in blocks]
+    return None if None in digits else len(perms) + _from_digits(digits, len(perms))
 
 
 def sample_strategy(strategy: str, d: int, count: int, seed: int) -> list[Rule]:

@@ -42,8 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .rmtset import RmtSet
-from .rules import Rule, _equi_masks, _sibl_masks, validate_state_count
+from .rules import Rule, _equi_sets, _sibl_sets, validate_state_count
 
 
 class NodeClass(enum.Enum):
@@ -85,8 +84,10 @@ class TreeNode:
         full = (1 << width) - 1
         return tuple(self.bits >> (i * width) & full for i in reversed(range(self.d * self.d)))
 
-    def window_set(self, w: int) -> RmtSet:
-        return RmtSet(self.by_window[w], self.d ** 3)
+    def window_set(self, w: int) -> tuple[int, ...]:
+        """The RMTs of window set w, ascending."""
+        mask = self.by_window[w]
+        return tuple(r for r in range(self.d ** 3) if mask >> r & 1)
 
     def total(self) -> int:
         """RMT count summed over window sets (with multiplicity)."""
@@ -100,6 +101,10 @@ class TreeNode:
 
     def is_empty(self) -> bool:
         return self.bits == 0
+
+
+def _mask(rmts: Iterable[int]) -> int:
+    return sum(1 << r for r in rmts)
 
 
 class _Layout(NamedTuple):
@@ -123,14 +128,14 @@ def _layout(d: int) -> _Layout:
         move = sum(1 << pos[c] for c in range(dd) if c >> k & 1)
         spread.append((move * replicate, (d - 1) << k))
         pos = [p + ((d - 1) << k if c >> k & 1 else 0) for c, p in enumerate(pos)]
-    residue = [sum(1 << r for r in range(width) if r % d == s) for s in range(d)]
+    residue = [_mask(range(s, width, d)) for s in range(d)]
     return _Layout(
         replicate=replicate,
         fold_shifts=tuple(t * dd for t in range(1, d)),
         classes=((1 << dd) - 1) * replicate,
         spread=tuple(spread),
         second_last=TreeNode.from_windows(d, (residue[w // d] for w in range(dd))).bits,
-        last=TreeNode.from_windows(d, _equi_masks(d)).bits,
+        last=TreeNode.from_windows(d, map(_mask, _equi_sets(d))).bits,
     )
 
 
@@ -138,7 +143,7 @@ def root(d: int) -> TreeNode:
     """Window set w starts with the sibling set of w: first two cells fixed,
     third free."""
     validate_state_count(d)
-    return TreeNode.from_windows(d, _sibl_masks(d))
+    return TreeNode.from_windows(d, map(_mask, _sibl_sets(d)))
 
 
 def label_masks(rule: Rule) -> tuple[int, ...]:

@@ -193,7 +193,7 @@ def _check_materialized_tree(rule, n):
                 for w in range(d * d):
                     got = node.by_window[w]
                     for j in range(d * d):
-                        sib = sibl_set(j, d).mask
+                        sib = sum(1 << r for r in sibl_set(j, d))
                         assert got & sib in (0, sib), (level, w, j)
         if level == n:
             break

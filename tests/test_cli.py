@@ -1,6 +1,7 @@
 """Command-line interface: flags, wire formats, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -69,6 +70,16 @@ def test_check_json_schema(capsys):
     record = json.loads(out)
     assert record["schema"] == "revca/verdict-range:1"
     assert [r["n"] for r in record["results"]] == [3, 4, 5]
+
+    # the schema follows the flag, not the number of cell counts
+    code, out, _ = run(
+        capsys, "check", "--states", "3", "--rule", FIG1_RULE,
+        "--cells-range", "5:5", "--format", "json",
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert record["schema"] == "revca/verdict-range:1"
+    assert [r["n"] for r in record["results"]] == [5]
 
 
 def test_evolve_trace(capsys):
@@ -173,6 +184,13 @@ def test_usage_errors_exit_2(capsys):
         "--config", "0102", "--steps", "1",
     )
     assert code == 2
+    code, out, err = run(
+        capsys, "evolve", "--states", "3", "--rule", FIG1_RULE,
+        "--config", "0,-1,2", "--steps", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "position 1" in err
 
 
 def test_resource_errors_exit_3(capsys, monkeypatch):
@@ -182,6 +200,21 @@ def test_resource_errors_exit_3(capsys, monkeypatch):
     )
     assert code == 3
     assert "resource" in err
+
+
+@pytest.mark.parametrize("d, cells", [(3, 10_000), (6, 3_000_000)])
+def test_oracle_giant_ring_is_budget_error(capsys, d, cells):
+    # d**cells has more digits than int-to-str conversion allows, and takes
+    # seconds to compute at d = 6; the budget is decided without it
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "oracle", "--states", str(d), "--rule", "0" * d ** 3, "--cells", str(cells),
+    )
+    assert time.perf_counter() - start < 0.5
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
+    assert f"{d}^{cells} configurations" in err
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 
 from revca import (
     Rule,
+    RuleFormatError,
     build_debruijn,
     export_dot,
     format_configuration,
@@ -143,3 +144,6 @@ def test_configuration_parsing():
         parse_configuration("10", 2)
     with pytest.raises(ValueError):
         parse_configuration("012", 2)
+    with pytest.raises(RuleFormatError) as err:
+        parse_configuration("0,-1,2", 3)
+    assert err.value.position == 1

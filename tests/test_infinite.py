@@ -8,6 +8,8 @@ from revca import (
     Rule,
     conjecture_experiment,
     decide,
+    decide_range,
+    enumerate_strategy,
     infinite_injective,
     pair_graph,
     parse_rule,
@@ -134,3 +136,12 @@ def test_injective_implies_reversible_spot_check():
         if infinite_injective(rule).injective:
             for n in (3, 4, 5, 6):
                 assert decide(rule, n).reversible
+
+
+def test_injective_implies_reversible_on_every_strategy_iii_rule():
+    # the theorem at d = 3: every one of the 222 Strategy III rules that is
+    # injective on the lattice is reversible at every tested ring size
+    injective = [r for r in enumerate_strategy("III", 3) if infinite_injective(r).injective]
+    assert len(injective) == 30
+    for rule in injective:
+        assert all(v.reversible for v in decide_range(rule, 3, 20).values()), rule

@@ -53,6 +53,10 @@ def test_nonreachable_respects_limit():
     rule = parse_rule(FIG2_RULE, 3)
     full = find_nonreachable(rule, 4)
     assert find_nonreachable(rule, 4, limit=3) == full[:3]
+    assert find_nonreachable(rule, 4, limit=0) == []
+    assert find_nonreachable(rule, 4, limit=len(full)) == full
+    with pytest.raises(ValueError):
+        find_nonreachable(rule, 4, limit=-1)
 
 
 def test_bijective_rule_has_no_nonreachable():

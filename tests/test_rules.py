@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from revca import (
-    RmtSet,
     Rule,
     RuleFormatError,
     equi_set,
@@ -44,12 +43,14 @@ def test_rmt_roundtrip(d, data):
 
 
 def test_equi_set_rows():
+    assert equi_set(1, 3) == (1, 10, 19)
     assert set(equi_set(1, 3)) == {1, 10, 19}
     assert set(equi_set(0, 3)) == {0, 9, 18}
     assert set(equi_set(3, 2)) == {3, 7}
 
 
 def test_sibl_set_rows():
+    assert sibl_set(1, 3) == (3, 4, 5)
     assert set(sibl_set(1, 3)) == {3, 4, 5}
     assert set(sibl_set(8, 3)) == {24, 25, 26}
     assert set(sibl_set(0, 2)) == {0, 1}
@@ -136,6 +137,9 @@ def test_parse_csv_form():
     assert rule == parse_rule(FIG1_RULE, 3)
     with pytest.raises(RuleFormatError):
         parse_rule("2,0,x,1", 2)
+    with pytest.raises(RuleFormatError) as err:
+        parse_rule("0,0,-1,0,0,0,0,0", 2)
+    assert err.value.position == 2
 
 
 @given(st.integers(2, 4), st.data())
@@ -160,23 +164,7 @@ def test_rule_next_state_and_masks():
     rule = parse_rule(FIG1_RULE, 3)
     assert rule.next_state(2, 0, 1) == rule[19]
     for m in range(3):
-        assert set(RmtSet(rule.value_masks[m], 27)) == {
+        assert {r for r in range(27) if rule.value_masks[m] >> r & 1} == {
             r for r in range(27) if rule[r] == m
         }
 
-
-def test_rmtset_operations():
-    a = RmtSet.of([1, 5, 9], 27)
-    b = RmtSet.of([5, 6], 27)
-    assert list(a) == [1, 5, 9]  # ascending iteration
-    assert len(a) == 3
-    assert 5 in a and 4 not in a
-    assert set(a | b) == {1, 5, 6, 9}
-    assert set(a & b) == {5}
-    assert set(a - b) == {1, 9}
-    assert not RmtSet.empty(27)
-    assert len(RmtSet.full(8)) == 8
-    with pytest.raises(ValueError):
-        RmtSet.of([27], 27)
-    with pytest.raises(ValueError):
-        a | RmtSet.of([0], 8)

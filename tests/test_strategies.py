@@ -150,7 +150,7 @@ def test_strategy_one_level1_nodes_cover_all_rmts():
             union = label.union_mask()
             assert union.bit_count() == 9
             for i in range(9):
-                assert (union & equi_set(i, 3).mask).bit_count() == 1
+                assert (union & sum(1 << r for r in equi_set(i, 3))).bit_count() == 1
             level1 = child(label, NodeClass.INTERIOR)
             assert level1.union_mask() == (1 << 27) - 1
 

@@ -27,6 +27,7 @@ SHIFTED_BLOCKS_RULE = "000111222000111222000111222"
 def test_root_is_sibling_partition():
     node = root(3)
     assert set(node.window_set(1)) == {3, 4, 5}
+    assert node.window_set(1) == (3, 4, 5)  # an ascending tuple
     assert node.total() == 27
     node2 = root(2)
     assert [set(node2.window_set(w)) for w in range(4)] == [
@@ -161,7 +162,7 @@ def test_sibling_closure_of_interior_nodes():
             for w in range(d * d):
                 got = node.by_window[w]
                 for j in range(d * d):
-                    sib = sibl_set(j, d).mask
+                    sib = sum(1 << r for r in sibl_set(j, d))
                     assert got & sib in (0, sib)
 
 
