@@ -19,11 +19,19 @@ Any failed cardinality check certifies irreversibility with a witness;
 if nothing fails the tree is complete and the CA is reversible. An
 unbalanced rule fails at the root, so it is rejected without building
 anything.
+
+A frontier holds each node as fixed-width big-endian bytes, one lane of
+``tree.lane_bytes(d)``, and advances one level at a time: the nodes not
+yet expanded are packed side by side and ``tree.successors`` derives all
+their children in one call per chunk. Bytes order equals ``bits`` order,
+so the first violator, the budget count and every witness are those of a
+node-by-node walk in ``bits`` order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping
 
 from .errors import ResourceLimitError, read_budget
@@ -35,12 +43,17 @@ from .tree import (
     edge_label,
     expected_edge_total,
     label_masks,
+    lane_bytes,
+    repeat_lanes,
     root,
     successors,
 )
 
 DEFAULT_NODE_BUDGET = 100_000
 _NODE_BUDGET_ENV = "REVCA_NODE_BUDGET"
+# Packed nodes per kernel call, in bytes. A call holds a few ints of this
+# size at once, so the cap bounds what it adds to the frontiers' memory.
+_CHUNK_BYTES = 32 * 1024
 
 # Classes of the nodes the ring-closing edges at levels n-3 and n-2 lead
 # to; the leaves after level n-1 are not checked.
@@ -117,13 +130,17 @@ class FrontierClosure:
     """Lazily computed frontier sequence of one rule.
 
     ``frontier_at(l)`` is the frozenset of node values at level l of the
-    full tree. Inside, a node is its packed ``bits`` and a frontier a
-    frozenset of them; ``levels``, ``frontier_at`` and witnesses wrap
-    them into ``TreeNode``. Expansion results are cached per node value
-    (the cross-level repeat mechanism), and whole-frontier repeats give the
-    (preperiod, period) pair used to index any level arithmetically.
-    Ring-closing checks are cached per materialized frontier, so every
-    decision sharing the closure reuses them.
+    full tree. Inside, a node is its lane (see ``tree.lane_bytes``): the
+    fixed-width big-endian bytes of its ``bits``, which hash once and sort
+    in ``bits`` order. A frontier is a frozenset of them; ``levels``,
+    ``frontier_at`` and witnesses turn them into ``TreeNode``. A frontier
+    advances one level at a time: its nodes not yet expanded are packed
+    side by side and expanded by one kernel call per chunk. Children are
+    cached per node value (the cross-level repeat mechanism), and
+    whole-frontier repeats give the (preperiod, period) pair used to index
+    any level arithmetically. Ring-closing checks are cached per
+    materialized frontier, so every decision sharing the closure reuses
+    them.
 
     With ``fail_fast`` the sequence stops extending at the first level
     whose expansion violates the interior cardinality; deciders never
@@ -135,14 +152,20 @@ class FrontierClosure:
         self.rule = rule
         self.node_budget = read_budget(node_budget, _NODE_BUDGET_ENV, DEFAULT_NODE_BUDGET)
         self.fail_fast = fail_fast
+        d = rule.d
         # every interior edge carries what level 0 of a 3-cell ring carries
-        self._interior_total = expected_edge_total(0, 3, rule.d)
+        self._interior_total = expected_edge_total(0, 3, d)
+        self._width = lane_bytes(d)
+        # nodes per kernel call: the largest power of two that fits a chunk
+        self._lanes = 1 << (_CHUNK_BYTES // self._width).bit_length() - 1
         self._masks = label_masks(rule)
-        self._frontiers: list[frozenset[int]] = [frozenset([root(rule.d).bits])]
-        self._frontier_index: dict[frozenset[int], int] = {self._frontiers[0]: 0}
+        self._lane_masks = tuple(repeat_lanes(d, m, self._lanes) for m in self._masks)
+        self._frontiers: list[frozenset[bytes]] = [frozenset([root(d).bits.to_bytes(self._width, "big")])]
+        self._frontier_index: dict[frozenset[bytes], int] = {self._frontiers[0]: 0}
         self._violations: list[Witness | None] = []
-        # node bits -> (children bits, first edge state off the interior total)
-        self._expansions: dict[int, tuple[list[int], int | None]] = {}
+        self._children: dict[bytes, tuple[bytes, ...]] = {}
+        # checked node -> its first edge state off the interior total
+        self._bad: dict[bytes, int] = {}
         self._tails: dict[int, tuple | None] = {}
         self.preperiod: int | None = None
         self.period: int | None = None
@@ -152,9 +175,9 @@ class FrontierClosure:
     def closed(self) -> bool:
         return self.period is not None
 
-    def _nodes(self, frontier: frozenset[int]) -> frozenset[TreeNode]:
+    def _nodes(self, frontier: frozenset[bytes]) -> frozenset[TreeNode]:
         d = self.rule.d
-        return frozenset(TreeNode(d, bits) for bits in frontier)
+        return frozenset(TreeNode(d, int.from_bytes(node, "big")) for node in frontier)
 
     @property
     def levels(self) -> tuple[frozenset[TreeNode], ...]:
@@ -168,41 +191,53 @@ class FrontierClosure:
     def frontier_sizes(self) -> tuple[int, ...]:
         return tuple(len(f) for f in self._frontiers)
 
-    def _expand(self, bits: int) -> tuple[list[int], int | None]:
-        cached = self._expansions.get(bits)
-        if cached is not None:
-            return cached
-        if len(self._expansions) >= self.node_budget:
+    def _advance(self) -> None:
+        """Compute the next frontier from the last one.
+
+        Budget and violation mean what a node-by-node walk in sorted order
+        would give: the witness is the first violator, and with
+        ``fail_fast`` that walk would stop there, expanding no new node
+        after it.
+        """
+        level = len(self._frontiers) - 1
+        frontier = self._frontiers[-1]
+        children, bad, want, masks = self._children, self._bad, self._interior_total, self._masks
+        new = [node for node in frontier if node not in children]
+        for node in new:
+            bits = int.from_bytes(node, "big")
+            for m, mask in enumerate(masks):
+                if (bits & mask).bit_count() != want:
+                    bad[node] = m
+                    break
+        first = min(frontier.intersection(bad), default=None)
+        stop = first is not None and self.fail_fast
+        counted = sum(node <= first for node in new) if stop else len(new)
+        if len(children) + counted > self.node_budget:
             raise ResourceLimitError(
                 f"more than {self.node_budget} distinct tree nodes; "
-                f"raise the budget (env {_NODE_BUDGET_ENV}) to continue"
+                f"raise the budget (env {_NODE_BUDGET_ENV}) to continue",
+                frontier_sizes=self.frontier_sizes(),
+                budget=self.node_budget,
             )
-        want = self._interior_total
-        violation = None
-        for m, mask in enumerate(self._masks):
-            if (bits & mask).bit_count() != want:
-                violation = m
-                break
-        result = self._expansions[bits] = (successors(self.rule.d, bits, self._masks), violation)
-        return result
-
-    def _advance(self) -> None:
-        """Compute the next frontier from the last one."""
-        level = len(self._frontiers) - 1
-        nxt: set[int] = set()
-        violation = None
-        for bits in sorted(self._frontiers[-1]):
-            children, bad = self._expand(bits)
-            if bad is not None and violation is None:
-                violation = _witness(self.rule, level, bits, bad, self._interior_total)
-                if self.fail_fast:
-                    break
-            nxt.update(children)
-        self._violations.append(violation)
-        if violation is not None and self.fail_fast:
+        self._violations.append(
+            None if first is None else _witness(self.rule, level, int.from_bytes(first, "big"), bad[first], want)
+        )
+        if stop:
             self._aborted_at = level
             return
-        frontier = frozenset(nxt)
+        d, width = self.rule.d, self._width
+        for start in range(0, len(new), self._lanes):
+            part = new[start : start + self._lanes]
+            size = len(part) * width
+            packed = int.from_bytes(b"".join(part), "big")
+            kids = [
+                [raw[i : i + width] for i in range(0, size, width)]
+                for raw in (c.to_bytes(size, "big") for c in successors(d, packed, self._lane_masks, len(part)))
+            ]
+            children.update(zip(part, zip(*kids)))
+        # copied from a set, a frozenset is sized to fit; grown from the
+        # children it would keep the slack of every resize
+        frontier = frozenset(set(chain.from_iterable(map(children.__getitem__, frontier))))
         self._frontiers.append(frontier)
         seen_at = self._frontier_index.get(frontier)
         if seen_at is not None:
@@ -266,7 +301,7 @@ def frontier_closure(rule: Rule, node_budget: int | None = None) -> FrontierClos
     return closure
 
 
-def _check_tail(rule: Rule, frontier: Iterable[int]) -> tuple | None:
+def _check_tail(rule: Rule, frontier: Iterable[bytes]) -> tuple | None:
     """Check the three final edge levels from the level-(n-3) frontier,
     applying the two ring-closing filters. Depends only on the frontier.
 
@@ -298,7 +333,7 @@ def _check_tail(rule: Rule, frontier: Iterable[int]) -> tuple | None:
                     return found
         return None
 
-    return walk(sorted(frontier), 0)
+    return walk((int.from_bytes(node, "big") for node in sorted(frontier)), 0)
 
 
 def _unbalanced_witness(rule: Rule) -> Witness:

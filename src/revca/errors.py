@@ -20,8 +20,21 @@ class ResourceLimitError(RuntimeError):
     """A configured search/enumeration budget was exceeded.
 
     This is a diagnostic, never a verdict: callers must not interpret it
-    as "reversible" or "irreversible".
+    as "reversible" or "irreversible". A tree closure that runs out of
+    nodes says how far it got: ``frontier_sizes`` are the sizes of the
+    frontiers it had reached and ``budget`` is its node budget; both are
+    None for other budgets.
     """
+
+    def __init__(
+        self,
+        message: str,
+        frontier_sizes: tuple[int, ...] | None = None,
+        budget: int | None = None,
+    ):
+        super().__init__(message)
+        self.frontier_sizes = frontier_sizes
+        self.budget = budget
 
 
 def read_budget(override: int | None, env_var: str, default: int) -> int:

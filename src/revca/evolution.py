@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import RuleFormatError
-from .rules import Rule, rmt_decompose
+from .rules import Rule, read_states, rmt_decompose
 
 Configuration = tuple[int, ...]
 
@@ -25,16 +25,8 @@ Configuration = tuple[int, ...]
 def parse_configuration(text: str, d: int) -> Configuration:
     """Parse a digit string (or comma-separated ints) into a ring of cells."""
     text = text.strip()
-    if "," in text:
-        parts = [p.strip() for p in text.split(",")]
-        try:
-            cells = tuple(int(p) for p in parts)
-        except ValueError:
-            raise RuleFormatError(f"bad configuration entry in {text!r}") from None
-    else:
-        if not text.isdigit():
-            raise RuleFormatError(f"configuration {text!r} is not a digit string")
-        cells = tuple(int(ch) for ch in text)
+    comma = "," in text
+    cells = tuple(read_states([p.strip() for p in text.split(",")] if comma else text, comma))
     if len(cells) < 3:
         raise RuleFormatError("a ring needs at least 3 cells")
     for pos, s in enumerate(cells):

@@ -19,8 +19,10 @@ an RMT from ``Sibl(i)``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Sequence
 
 from .errors import RuleFormatError
 
@@ -127,6 +129,21 @@ def is_balanced(rule: Rule) -> bool:
     return all(c == want for c in rule.state_counts())
 
 
+_SIGNED_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def read_states(fields: Sequence[str], comma: bool) -> list[int]:
+    """The integers written in ``fields``: comma-separated entries with an
+    optional sign, or single digits. Only ASCII digits count; ``int`` and
+    ``str.isdigit`` also take other scripts' digits and ``_`` separators."""
+    for pos, entry in enumerate(fields):
+        if comma and not _SIGNED_INT.fullmatch(entry):
+            raise RuleFormatError(f"bad entry {entry!r} at field {pos}", pos)
+        if not comma and not "0" <= entry <= "9":
+            raise RuleFormatError(f"non-digit {entry!r} at position {pos}", pos)
+    return [int(entry) for entry in fields]
+
+
 def parse_rule(text: str, d: int, max_states: int = MAX_STATES) -> Rule:
     """Parse a rule string (digits, or comma-separated ints for d > 10).
 
@@ -135,19 +152,13 @@ def parse_rule(text: str, d: int, max_states: int = MAX_STATES) -> Rule:
     """
     validate_state_count(d, max_states)
     text = text.strip()
-    if "," in text:
-        parts = [p.strip() for p in text.split(",")]
-        if len(parts) != d ** 3:
+    comma = "," in text
+    if comma:
+        fields = [p.strip() for p in text.split(",")]
+        if len(fields) != d ** 3:
             raise RuleFormatError(
-                f"expected {d ** 3} comma-separated entries, got {len(parts)}"
+                f"expected {d ** 3} comma-separated entries, got {len(fields)}"
             )
-        values = []
-        for pos, p in enumerate(parts):
-            try:
-                v = int(p)
-            except ValueError:
-                raise RuleFormatError(f"bad entry {p!r} at field {pos}", pos) from None
-            values.append(v)
     else:
         if d > 10:
             raise RuleFormatError(
@@ -157,11 +168,8 @@ def parse_rule(text: str, d: int, max_states: int = MAX_STATES) -> Rule:
             raise RuleFormatError(
                 f"expected {d ** 3} digits for d={d}, got {len(text)}"
             )
-        values = []
-        for pos, ch in enumerate(text):
-            if not ch.isdigit():
-                raise RuleFormatError(f"non-digit {ch!r} at position {pos}", pos)
-            values.append(int(ch))
+        fields = text
+    values = read_states(fields, comma)
     for pos, v in enumerate(values):
         if not 0 <= v < d:
             raise RuleFormatError(

@@ -29,10 +29,15 @@ A node and an edge label are the same object, ``TreeNode(d, bits)``:
 ``bits`` packs the d**2 window sets into one d**5-bit int, window set w
 being the d**3-bit field at ``(d**2 - 1 - w) * d**3``. Window 0 is the
 most significant field, so ordering nodes by ``bits`` is the
-lexicographic order of their ``by_window`` tuples; the decider holds
-frontiers as sets of ``bits``, sorts them as plain ints and relies on
-this to pick the same witness. ``successors`` is the one child kernel:
-``child`` and the decider both derive children through it.
+lexicographic order of their ``by_window`` tuples.
+
+``successors`` is the one child kernel: ``child``, the ring-closing walk
+and the decider's frontier advance all derive children through it. It
+works on one node or on many packed side by side, each in a lane of
+``lane_bytes(d)`` bytes; no bit leaves its window field, so lanes never
+mix. The decider holds a node as its lane, the fixed-width big-endian
+bytes of ``bits``: bytes hash once, and bytes order equals ``bits``
+order, so sorting either picks the same witness.
 """
 
 from __future__ import annotations
@@ -163,18 +168,51 @@ def edge_label(node: TreeNode, rule: Rule, m: int) -> TreeNode:
     return TreeNode(d, node.bits & rule.value_masks[m] * _layout(d).replicate)
 
 
-def successors(d: int, bits: int, masks: Iterable[int]) -> list[int]:
-    """The interior child of the label ``bits & mask``, for each mask.
+def lane_bytes(d: int) -> int:
+    """Bytes per node when nodes are packed side by side."""
+    return -(-d ** 5 // 8)
 
-    Successors depend on r only through r mod d**2: fold each window set
-    to its d**2 classes, move class c to bit d*c and fill it to the d
-    bits of sibling set c.
+
+def repeat_lanes(d: int, value: int, lanes: int) -> int:
+    """``value``, a one-node int, repeated in each of ``lanes`` lanes."""
+    width = lane_bytes(d)
+    return int.from_bytes(value.to_bytes(width, "big") * lanes, "big")
+
+
+@lru_cache(maxsize=None)
+def _lane_constants(d: int, lanes: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The kernel's ``classes`` and ``spread`` masks repeated over ``lanes``
+    lanes. They are only ANDed in, and an AND of positive ints is as wide
+    as the narrower one, so constants for more lanes serve fewer:
+    ``successors`` rounds ``lanes`` up to a power of two to keep this
+    cache small."""
+    layout = _layout(d)
+    return (
+        repeat_lanes(d, layout.classes, lanes),
+        tuple((repeat_lanes(d, move, lanes), s) for move, s in layout.spread),
+    )
+
+
+def successors(d: int, packed: int, masks: Iterable[int], lanes: int = 1) -> list[int]:
+    """The interior child of the label ``packed & mask``, for each mask.
+
+    ``packed`` holds ``lanes`` nodes, one per lane, and each mask covers as
+    many lanes (see ``repeat_lanes``) or is -1; the children of a lane's
+    node sit in the same lane of every output. Successors depend on r only
+    through r mod d**2: fold each window set to its d**2 classes, move
+    class c to bit d*c and fill it to the d bits of sibling set c. A fold
+    shift carries bits into the field below, but only above its d**2
+    class bits, which the ``classes`` mask clears; spread and fill stay
+    inside a field. So no bit leaves its window field, and lanes never
+    mix.
     """
     layout = _layout(d)
     fold_shifts, classes, spread = layout.fold_shifts, layout.classes, layout.spread
+    if lanes > 1:
+        classes, spread = _lane_constants(d, 1 << (lanes - 1).bit_length())
     out = []
     for mask in masks:
-        label = bits & mask
+        label = packed & mask
         f = label
         for s in fold_shifts:
             f |= label >> s

@@ -193,6 +193,21 @@ def test_usage_errors_exit_2(capsys):
     assert "position 1" in err
 
 
+@pytest.mark.parametrize("digit", ["\u0661", "\uff11", "\u00b2"])
+def test_non_ascii_digits_are_usage_errors(capsys, digit):
+    code, out, err = run(
+        capsys, "check", "--states", "2", "--rule", "1100110" + digit, "--cells", "4",
+    )
+    assert (code, out) == (2, "")
+    assert "position 7" in err
+    code, out, err = run(
+        capsys, "evolve", "--states", "2", "--rule", "11001100",
+        "--config", "01" + digit, "--steps", "1",
+    )
+    assert (code, out) == (2, "")
+    assert "position 2" in err
+
+
 def test_resource_errors_exit_3(capsys, monkeypatch):
     monkeypatch.setenv("REVCA_ORACLE_BUDGET", "100")
     code, _, err = run(

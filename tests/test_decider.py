@@ -1,6 +1,7 @@
 """The minimized-tree decision procedure and its frontier closure."""
 
 import dataclasses
+import gc
 import itertools
 import traceback
 
@@ -238,6 +239,41 @@ def test_kept_budget_error_holds_no_tree():
             call()
         held = [v for frame, _ in traceback.walk_tb(info.value.__traceback__) for v in frame.f_locals.values()]
         assert not any(isinstance(v, FrontierClosure) for v in held)
+        # it says how far it got, in plain ints that pin nothing
+        assert info.value.budget == 2
+        assert info.value.frontier_sizes == (1, 3)
+        assert all(type(size) is int for size in info.value.frontier_sizes)
+        assert not any(isinstance(v, FrontierClosure) for v in gc.get_referents(info.value))
+
+
+def test_fail_fast_budget_counts_nodes_up_to_the_violator():
+    # level 1 has 3 nodes and the first in bits order violates: the root
+    # and that node fit a budget of 2, where expanding all of level 1
+    # would need 4
+    rule = parse_rule("121000011202212202010121012", 3)
+    w = decide(rule, 15, node_budget=2).witness
+    assert (w.kind, w.level) == ("edge_total", 1)
+    with pytest.raises(ResourceLimitError):
+        decide(rule, 15, node_budget=1)
+
+
+@pytest.mark.parametrize(
+    "text, d, n, budget",
+    [
+        # the smallest budget that decides each case, found by bisection
+        (SHIFTED_BLOCKS_RULE, 3, 100, 10),
+        (FIG1_RULE, 3, 12, 19),
+        (ODD_ONLY_RULE, 3, 10 ** 6, 28),
+        (FIG2_RULE, 3, 9, 40),
+        (REVERSIBLE_D4[2], 4, 10 ** 6, 35),
+    ],
+)
+def test_minimal_node_budget(text, d, n, budget):
+    rule = parse_rule(text, d)
+    expected = decide(rule, n)
+    assert decide(rule, n, node_budget=budget) == expected
+    with pytest.raises(ResourceLimitError):
+        decide(rule, n, node_budget=budget - 1)
 
 
 def test_bad_node_budget_argument_is_value_error():

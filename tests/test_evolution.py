@@ -147,3 +147,8 @@ def test_configuration_parsing():
     with pytest.raises(RuleFormatError) as err:
         parse_configuration("0,-1,2", 3)
     assert err.value.position == 1
+    assert parse_configuration("0,+1,2", 3) == (0, 1, 2)
+    for text in ("0\u06612", "0\uff112", "0\u00b22", "0,1_0,2", "0,\u0661,2"):
+        with pytest.raises(RuleFormatError) as err:
+            parse_configuration(text, 3)
+        assert err.value.position == 1

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revca import (
     Rule,
@@ -13,6 +15,8 @@ from revca import (
     infinite_injective,
     pair_graph,
     parse_rule,
+    rule_at,
+    strategy_family_size,
 )
 
 FIG1_RULE = "201210210201210210201210210"
@@ -145,3 +149,16 @@ def test_injective_implies_reversible_on_every_strategy_iii_rule():
     assert len(injective) == 30
     for rule in injective:
         assert all(v.reversible for v in decide_range(rule, 3, 20).values()), rule
+
+
+@st.composite
+def _strategy_iii_rules(draw):
+    d = draw(st.integers(3, 4))
+    return rule_at("III", d, draw(st.integers(0, strategy_family_size("III", d) - 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_strategy_iii_rules(), st.one_of(st.integers(3, 60), st.just(10 ** 6)))
+def test_injective_implies_reversible_on_drawn_strategy_iii_rules(rule, n):
+    if infinite_injective(rule).injective:
+        assert decide(rule, n).reversible, (rule.table, n)

@@ -130,6 +130,11 @@ def test_parse_rejects_bad_symbol():
     with pytest.raises(RuleFormatError) as err:
         parse_rule("201210210201210210201210215", 3)
     assert err.value.position == 26
+    # only ASCII digits: Arabic-Indic one, fullwidth one, superscript two
+    for digit in ("\u0661", "\uff11", "\u00b2"):
+        with pytest.raises(RuleFormatError) as err:
+            parse_rule("1100110" + digit, 2)
+        assert err.value.position == 7
 
 
 def test_parse_csv_form():
@@ -140,6 +145,11 @@ def test_parse_csv_form():
     with pytest.raises(RuleFormatError) as err:
         parse_rule("0,0,-1,0,0,0,0,0", 2)
     assert err.value.position == 2
+    assert parse_rule("0, +1,0,0,0,0,0,0", 2) == parse_rule("01000000", 2)
+    for entry in ("0_1", "\u0661", "\uff11", "\u00b2", "+-1", "1.0"):
+        with pytest.raises(RuleFormatError) as err:
+            parse_rule(f"0,0,0,{entry},0,0,0,0", 2)
+        assert err.value.position == 3
 
 
 @given(st.integers(2, 4), st.data())

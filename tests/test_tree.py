@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revca import (
     NodeClass,
@@ -19,6 +21,7 @@ from revca import (
     root,
     sibl_set,
 )
+from revca.tree import lane_bytes, repeat_lanes, successors
 
 FIG2_RULE = "201012210201012210201012210"
 SHIFTED_BLOCKS_RULE = "000111222000111222000111222"
@@ -119,6 +122,33 @@ def test_bits_order_is_window_order():
     for d in range(2, 7):
         nodes = [_random_label(rng, d) for _ in range(40)]
         assert sorted(nodes, key=lambda nd: nd.bits) == sorted(nodes, key=lambda nd: nd.by_window)
+
+
+@st.composite
+def _lanes_and_masks(draw):
+    d = draw(st.integers(2, 6))
+    # all-ones values put set bits in the top and bottom window fields,
+    # right at the lane edges
+    full = (1 << d ** 5) - 1
+    values = st.one_of(st.just(full), st.integers(0, full))
+    nodes = draw(st.lists(values, min_size=1, max_size=9))
+    masks = draw(st.lists(values, min_size=1, max_size=d))
+    return d, nodes, masks
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lanes_and_masks())
+def test_packed_lanes_equal_one_node_calls(case):
+    d, nodes, masks = case
+    width, lanes = lane_bytes(d), len(nodes)
+    packed = int.from_bytes(b"".join(bits.to_bytes(width, "big") for bits in nodes), "big")
+    lane_masks = [repeat_lanes(d, mask, lanes) for mask in masks]
+    alone = [successors(d, bits, masks) for bits in nodes]
+    for i, out in enumerate(successors(d, packed, lane_masks, lanes)):
+        raw = out.to_bytes(lanes * width, "big")
+        assert [int.from_bytes(raw[j * width:(j + 1) * width], "big") for j in range(lanes)] == [
+            kids[i] for kids in alone
+        ]
 
 
 def test_empty_label_gives_empty_child():
