@@ -5,7 +5,8 @@ Run after installing the package (pip install -e .):
     python demos/01_rules_and_rmt_sets.py
 """
 
-from revca import equi_set, is_balanced, parse_rule, rmt_decompose, sibl_set
+from revca import parse_rule
+from revca.rules import equi_set, is_balanced, rmt_decompose, sibl_set
 
 # A 3-state rule is a table of 27 next states, one per neighborhood
 # triple. The string lists them with the entry for triple (0,0,0) as the

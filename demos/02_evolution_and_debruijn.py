@@ -3,13 +3,13 @@
     python demos/02_evolution_and_debruijn.py
 """
 
-from revca import (
+from revca import parse_rule
+from revca.evolution import (
     build_debruijn,
     export_dot,
     format_configuration,
     orbit,
     parse_configuration,
-    parse_rule,
     step,
     step_on_graph,
 )

@@ -5,7 +5,8 @@
 
 import time
 
-from revca import decide, decide_range, frontier_closure, oracle_is_reversible, parse_rule
+from revca import decide, decide_range, oracle_is_reversible, parse_rule
+from revca.decider import frontier_closure
 
 print("a rule that is irreversible on 4 cells, with the failing tree edge:")
 fig2 = parse_rule("201012210201012210201012210", 3)

@@ -3,14 +3,9 @@
     python demos/04_hunting_reversible_rules.py
 """
 
-from revca import (
-    count_balanced,
-    decide,
-    enumerate_strategy,
-    format_rule,
-    sample_strategy,
-    strategy_family_size,
-)
+from revca import decide, sample_strategy
+from revca.rules import format_rule
+from revca.strategies import count_balanced, enumerate_strategy, strategy_family_size
 
 print("balanced rules are necessary but nowhere near sufficient:")
 for d in (2, 3, 4):

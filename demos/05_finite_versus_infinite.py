@@ -5,7 +5,9 @@
 
 import itertools
 
-from revca import Rule, conjecture_experiment, format_rule, infinite_injective, parse_rule
+from revca import Rule, infinite_injective, parse_rule
+from revca.infinite import conjecture_experiment
+from revca.rules import format_rule
 
 print("a rule the unbounded-lattice test rejects, with its witness:")
 odd = parse_rule("102221010102221010102221010", 3)

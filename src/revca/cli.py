@@ -24,7 +24,7 @@ from .evolution import (
 )
 from .infinite import infinite_injective
 from .oracle import oracle_is_reversible
-from .rules import format_rule, parse_rule
+from .rules import _SIGNED_INT, format_rule, parse_rule
 from .strategies import STRATEGIES, enumerate_strategy, sample_strategy
 
 USAGE_ERROR = 2
@@ -32,16 +32,24 @@ RESOURCE_ERROR = 3
 INTERNAL_ERROR = 4
 
 
-def _add_rule_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--states", type=int, required=True, help="states per cell (d)")
-    p.add_argument("--rule", required=True, help="rule string, next state of RMT 0 rightmost")
+def _integer(text: str) -> int:
+    """An integer written in ASCII digits; ``int`` also takes other
+    scripts' digits and ``_`` separators."""
+    if not _SIGNED_INT.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
-def _parse_cells_range(text: str) -> tuple[int, int]:
+def _cells_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition(":")
     if not sep:
-        raise ValueError("expected LO:HI")
-    return int(lo), int(hi)
+        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}")
+    return _integer(lo), _integer(hi)
+
+
+def _add_rule_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--states", type=_integer, required=True, help="states per cell (d)")
+    p.add_argument("--rule", required=True, help="rule string, next state of RMT 0 rightmost")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,26 +62,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide reversibility for one or many cell counts")
     _add_rule_args(p)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--cells", type=int, help="ring size n")
-    group.add_argument("--cells-range", help="inclusive range LO:HI")
+    group.add_argument("--cells", type=_integer, help="ring size n")
+    group.add_argument("--cells-range", type=_cells_range, help="inclusive range LO:HI")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("evolve", help="print a configuration trace")
     _add_rule_args(p)
     p.add_argument("--config", required=True, help="initial configuration digits")
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_integer, required=True)
 
     p = sub.add_parser("gen", help="emit a strategy family, one rule per line")
     p.add_argument("--strategy", choices=STRATEGIES, required=True)
-    p.add_argument("--states", type=int, required=True)
+    p.add_argument("--states", type=_integer, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--all", action="store_true", help="stream the whole family")
-    group.add_argument("--sample", type=int, metavar="N", help="sample N rules")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
+    group.add_argument("--sample", type=_integer, metavar="N", help="sample N rules")
+    p.add_argument("--seed", type=_integer, default=0, help="sampling seed")
 
     p = sub.add_parser("oracle", help="brute-force global map summary")
     _add_rule_args(p)
-    p.add_argument("--cells", type=int, required=True)
+    p.add_argument("--cells", type=_integer, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("infinite", help="injectivity on the unbounded lattice")
@@ -96,8 +104,7 @@ def _cmd_check(args) -> int:
     if args.cells is not None:
         verdicts = {args.cells: decide(rule, args.cells)}
     else:
-        lo, hi = _parse_cells_range(args.cells_range)
-        verdicts = decide_range(rule, lo, hi)
+        verdicts = decide_range(rule, *args.cells_range)
     if args.format == "json":
         records = [v.to_dict() for v in verdicts.values()]
         if args.cells is not None:

@@ -31,6 +31,7 @@ node-by-node walk in ``bits`` order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop
 from itertools import chain
 from typing import Iterable, Mapping
 
@@ -333,7 +334,11 @@ def _check_tail(rule: Rule, frontier: Iterable[bytes]) -> tuple | None:
                     return found
         return None
 
-    return walk((int.from_bytes(node, "big") for node in sorted(frontier)), 0)
+    # the walk usually stops within a few nodes: pop them in order from a
+    # heap rather than sort the whole frontier
+    heap = list(frontier)
+    heapify(heap)
+    return walk((int.from_bytes(heappop(heap), "big") for _ in range(len(heap))), 0)
 
 
 def _unbalanced_witness(rule: Rule) -> Witness:

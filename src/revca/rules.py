@@ -26,17 +26,17 @@ from typing import Sequence
 
 from .errors import RuleFormatError
 
-#: Default hard cap on states per cell. d = 6 already means rule tables of
+#: Hard cap on states per cell. d = 6 already means rule tables of
 #: 216 entries and strategy families of size (6!)^36; anything larger is
 #: far outside what the decision machinery is meant for.
 MAX_STATES = 6
 
 
-def validate_state_count(d: int, max_states: int = MAX_STATES) -> int:
+def validate_state_count(d: int) -> int:
     if not isinstance(d, int) or isinstance(d, bool):
         raise ValueError(f"state count must be an int, got {d!r}")
-    if d < 2 or d > max_states:
-        raise ValueError(f"state count must be in [2, {max_states}], got {d}")
+    if d < 2 or d > MAX_STATES:
+        raise ValueError(f"state count must be in [2, {MAX_STATES}], got {d}")
     return d
 
 
@@ -144,13 +144,13 @@ def read_states(fields: Sequence[str], comma: bool) -> list[int]:
     return [int(entry) for entry in fields]
 
 
-def parse_rule(text: str, d: int, max_states: int = MAX_STATES) -> Rule:
+def parse_rule(text: str, d: int) -> Rule:
     """Parse a rule string (digits, or comma-separated ints for d > 10).
 
     The rightmost symbol is the next state of RMT 0, the leftmost of
     RMT d**3 - 1.
     """
-    validate_state_count(d, max_states)
+    validate_state_count(d)
     text = text.strip()
     comma = "," in text
     if comma:

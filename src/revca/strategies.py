@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterator, Sequence
 
-from .rules import MAX_STATES, Rule, _equi_sets, _sibl_sets, validate_state_count
+from .rules import Rule, _equi_sets, _sibl_sets, validate_state_count
 
 STRATEGIES = ("I", "II", "III")
 
@@ -165,7 +165,7 @@ def sample_strategy(strategy: str, d: int, count: int, seed: int) -> list[Rule]:
 
 def random_balanced_rules(d: int, count: int, seed: int) -> list[Rule]:
     """Uniform balanced rules: a seeded shuffle of the balanced multiset."""
-    validate_state_count(d, max_states=MAX_STATES)
+    validate_state_count(d)
     rng = random.Random(seed)
     base: Sequence[int] = [m for m in range(d) for _ in range(d * d)]
     out = []

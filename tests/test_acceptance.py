@@ -11,25 +11,19 @@ import time
 from revca import (
     NodeClass,
     Rule,
-    build_debruijn,
     child,
-    conjecture_experiment,
-    count_balanced,
     decide,
     decide_range,
     edge_label,
-    enumerate_strategy,
-    is_balanced,
-    node_is_balanced,
     oracle_is_reversible,
     parse_rule,
-    random_balanced_rules,
-    root,
     sample_strategy,
-    sibl_set,
-    step,
-    step_on_graph,
 )
+from revca.evolution import build_debruijn, step, step_on_graph
+from revca.infinite import conjecture_experiment
+from revca.rules import is_balanced, sibl_set
+from revca.strategies import count_balanced, enumerate_strategy, random_balanced_rules
+from revca.tree import node_is_balanced, root
 
 FIG2_RULE = "201012210201012210201012210"
 FIG1_RULE = "201210210201210210201210210"

@@ -206,6 +206,12 @@ def test_non_ascii_digits_are_usage_errors(capsys, digit):
     )
     assert (code, out) == (2, "")
     assert "position 2" in err
+    # integer options are read by argparse, which exits 2 itself
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--states", "2", "--rule", "11001100", "--cells-range", "3:1" + digit])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "--cells-range" in err
 
 
 def test_resource_errors_exit_3(capsys, monkeypatch):

@@ -14,21 +14,17 @@ from revca import (
     NodeClass,
     ResourceLimitError,
     Rule,
-    TreeNode,
     child,
     decide,
     decide_range,
     edge_label,
-    expected_edge_total,
-    frontier_closure,
     oracle_is_reversible,
     parse_rule,
-    random_balanced_rules,
-    root,
-    rule_at,
     sample_strategy,
-    strategy_family_size,
 )
+from revca.decider import frontier_closure
+from revca.strategies import random_balanced_rules, rule_at, strategy_family_size
+from revca.tree import TreeNode, expected_edge_total, root
 
 FIG1_RULE = "201210210201210210201210210"
 FIG2_RULE = "201012210201012210201012210"

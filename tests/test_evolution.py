@@ -4,15 +4,14 @@ import random
 
 import pytest
 
-from revca import (
-    Rule,
-    RuleFormatError,
+from revca import Rule, parse_rule
+from revca.errors import RuleFormatError
+from revca.evolution import (
     build_debruijn,
     export_dot,
     format_configuration,
     orbit,
     parse_configuration,
-    parse_rule,
     step,
     step_on_graph,
 )

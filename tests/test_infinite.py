@@ -6,18 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revca import (
-    Rule,
-    conjecture_experiment,
-    decide,
-    decide_range,
-    enumerate_strategy,
-    infinite_injective,
-    pair_graph,
-    parse_rule,
-    rule_at,
-    strategy_family_size,
-)
+from revca import Rule, decide, decide_range, infinite_injective, pair_graph, parse_rule
+from revca.infinite import conjecture_experiment
+from revca.strategies import enumerate_strategy, rule_at, strategy_family_size
 
 FIG1_RULE = "201210210201210210201210210"
 ODD_ONLY_RULE = "102221010102221010102221010"

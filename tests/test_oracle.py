@@ -2,14 +2,9 @@
 
 import pytest
 
-from revca import (
-    ResourceLimitError,
-    Rule,
-    find_nonreachable,
-    oracle_is_reversible,
-    parse_rule,
-    step,
-)
+from revca import ResourceLimitError, Rule, oracle_is_reversible, parse_rule
+from revca.evolution import step
+from revca.oracle import find_nonreachable
 
 FIG1_RULE = "201210210201210210201210210"
 FIG2_RULE = "201012210201012210201012210"

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from revca import (
-    Rule,
-    RuleFormatError,
+from revca import Rule, parse_rule
+from revca.errors import RuleFormatError
+from revca.rules import (
     equi_set,
     format_rule,
     is_balanced,
-    parse_rule,
     rmt_decompose,
     rmt_index,
     sibl_set,

@@ -5,24 +5,17 @@ import math
 
 import pytest
 
-from revca import (
-    NodeClass,
-    Rule,
-    child,
+from revca import NodeClass, Rule, child, edge_label, parse_rule, sample_strategy
+from revca.rules import equi_set, format_rule, is_balanced
+from revca.strategies import (
     count_balanced,
-    edge_label,
     enumerate_strategy,
-    equi_set,
-    format_rule,
-    is_balanced,
-    parse_rule,
     random_balanced_rules,
-    root,
     rule_at,
-    sample_strategy,
     strategy_family_size,
     strategy_index_of,
 )
+from revca.tree import root
 
 
 def test_count_balanced_closed_form():

@@ -6,22 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revca import (
-    NodeClass,
-    Rule,
+from revca import NodeClass, Rule, child, edge_label, oracle_is_reversible, parse_rule
+from revca.oracle import find_nonreachable
+from revca.rules import sibl_set
+from revca.tree import (
     TreeNode,
-    child,
-    edge_label,
     expected_edge_total,
-    find_nonreachable,
     format_node,
+    lane_bytes,
     node_is_balanced,
-    oracle_is_reversible,
-    parse_rule,
+    repeat_lanes,
     root,
-    sibl_set,
+    successors,
 )
-from revca.tree import lane_bytes, repeat_lanes, successors
 
 FIG2_RULE = "201012210201012210201012210"
 SHIFTED_BLOCKS_RULE = "000111222000111222000111222"
