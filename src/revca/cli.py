@@ -14,7 +14,7 @@ import sys
 from typing import Sequence
 
 from .decider import decide, decide_range
-from .errors import ResourceLimitError, RuleFormatError
+from .errors import _SIGNED_INT, ResourceLimitError, RuleFormatError
 from .evolution import (
     build_debruijn,
     export_dot,
@@ -24,7 +24,7 @@ from .evolution import (
 )
 from .infinite import infinite_injective
 from .oracle import oracle_is_reversible
-from .rules import _SIGNED_INT, format_rule, parse_rule
+from .rules import format_rule, parse_rule
 from .strategies import STRATEGIES, enumerate_strategy, sample_strategy
 
 USAGE_ERROR = 2
@@ -33,8 +33,7 @@ INTERNAL_ERROR = 4
 
 
 def _integer(text: str) -> int:
-    """An integer written in ASCII digits; ``int`` also takes other
-    scripts' digits and ``_`` separators."""
+    """An integer written in ASCII digits (``errors._SIGNED_INT``)."""
     if not _SIGNED_INT.fullmatch(text):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     return int(text)
@@ -125,10 +124,10 @@ def _cmd_evolve(args) -> int:
     if args.steps < 0:
         raise RuleFormatError("steps must be >= 0")
     cells = parse_configuration(args.config, args.states)
-    print(f"0 {format_configuration(cells, args.states)}")
+    print(f"0 {format_configuration(cells)}")
     for t in range(1, args.steps + 1):
         cells = step(rule, cells)
-        print(f"{t} {format_configuration(cells, args.states)}")
+        print(f"{t} {format_configuration(cells)}")
     return 0
 
 

@@ -18,7 +18,9 @@ preperiod q and period p. That turns the decision for any n into
 Any failed cardinality check certifies irreversibility with a witness;
 if nothing fails the tree is complete and the CA is reversible. An
 unbalanced rule fails at the root, so it is rejected without building
-anything.
+anything. The frontier sequence is one lazy sequence per rule, computed
+only as far as callers ask; a decision never asks past the first
+violating level.
 
 A frontier holds each node as fixed-width big-endian bytes, one lane of
 ``tree.lane_bytes(d)``, and advances one level at a time: the nodes not
@@ -143,16 +145,16 @@ class FrontierClosure:
     materialized frontier, so every decision sharing the closure reuses
     them.
 
-    With ``fail_fast`` the sequence stops extending at the first level
-    whose expansion violates the interior cardinality; deciders never
-    need later frontiers in that case. ``frontier_closure`` builds the
-    non-failing variant whose contract is the sequence itself.
+    The sequence goes only as far as callers ask. Levels are checked for
+    the interior cardinality until one violates; that level stays
+    unexpanded, so a decision stops at its witness. Asking for a later
+    frontier (``frontier_at``, a tail check, ``frontier_closure``)
+    expands it and the levels after it unchecked.
     """
 
-    def __init__(self, rule: Rule, node_budget: int | None = None, fail_fast: bool = True):
+    def __init__(self, rule: Rule, node_budget: int | None = None):
         self.rule = rule
         self.node_budget = read_budget(node_budget, _NODE_BUDGET_ENV, DEFAULT_NODE_BUDGET)
-        self.fail_fast = fail_fast
         d = rule.d
         # every interior edge carries what level 0 of a 3-cell ring carries
         self._interior_total = expected_edge_total(0, 3, d)
@@ -163,14 +165,11 @@ class FrontierClosure:
         self._lane_masks = tuple(repeat_lanes(d, m, self._lanes) for m in self._masks)
         self._frontiers: list[frozenset[bytes]] = [frozenset([root(d).bits.to_bytes(self._width, "big")])]
         self._frontier_index: dict[frozenset[bytes], int] = {self._frontiers[0]: 0}
-        self._violations: list[Witness | None] = []
+        self._violation: Witness | None = None
         self._children: dict[bytes, tuple[bytes, ...]] = {}
-        # checked node -> its first edge state off the interior total
-        self._bad: dict[bytes, int] = {}
         self._tails: dict[int, tuple | None] = {}
         self.preperiod: int | None = None
         self.period: int | None = None
-        self._aborted_at: int | None = None
 
     @property
     def closed(self) -> bool:
@@ -193,26 +192,31 @@ class FrontierClosure:
         return tuple(len(f) for f in self._frontiers)
 
     def _advance(self) -> None:
-        """Compute the next frontier from the last one.
+        """Check the last frontier, or expand it into the next one.
 
         Budget and violation mean what a node-by-node walk in sorted order
-        would give: the witness is the first violator, and with
-        ``fail_fast`` that walk would stop there, expanding no new node
-        after it.
+        would give. While no violation is known, a violating frontier
+        yields its first violator, counts only the new nodes up to it and
+        stays unexpanded; any other counts all its new nodes and expands.
         """
         level = len(self._frontiers) - 1
         frontier = self._frontiers[-1]
-        children, bad, want, masks = self._children, self._bad, self._interior_total, self._masks
+        children = self._children
         new = [node for node in frontier if node not in children]
-        for node in new:
-            bits = int.from_bytes(node, "big")
-            for m, mask in enumerate(masks):
-                if (bits & mask).bit_count() != want:
-                    bad[node] = m
-                    break
-        first = min(frontier.intersection(bad), default=None)
-        stop = first is not None and self.fail_fast
-        counted = sum(node <= first for node in new) if stop else len(new)
+        counted, witness = len(new), None
+        if self._violation is None:
+            # a node already expanded passed its check at an earlier level
+            want, bad = self._interior_total, {}
+            for node in new:
+                bits = int.from_bytes(node, "big")
+                for m, mask in enumerate(self._masks):
+                    if (bits & mask).bit_count() != want:
+                        bad[node] = m
+                        break
+            if bad:
+                first = min(bad)
+                counted = sum(node <= first for node in new)
+                witness = _witness(self.rule, level, int.from_bytes(first, "big"), bad[first], want)
         if len(children) + counted > self.node_budget:
             raise ResourceLimitError(
                 f"more than {self.node_budget} distinct tree nodes; "
@@ -220,20 +224,17 @@ class FrontierClosure:
                 frontier_sizes=self.frontier_sizes(),
                 budget=self.node_budget,
             )
-        self._violations.append(
-            None if first is None else _witness(self.rule, level, int.from_bytes(first, "big"), bad[first], want)
-        )
-        if stop:
-            self._aborted_at = level
+        if witness is not None:
+            self._violation = witness
             return
-        d, width = self.rule.d, self._width
-        for start in range(0, len(new), self._lanes):
-            part = new[start : start + self._lanes]
+        d, width, lanes = self.rule.d, self._width, self._lanes
+        for start in range(0, len(new), lanes):
+            part = new[start : start + lanes]
             size = len(part) * width
             packed = int.from_bytes(b"".join(part), "big")
             kids = [
                 [raw[i : i + width] for i in range(0, size, width)]
-                for raw in (c.to_bytes(size, "big") for c in successors(d, packed, self._lane_masks, len(part)))
+                for raw in (c.to_bytes(size, "big") for c in successors(d, packed, self._lane_masks, lanes))
             ]
             children.update(zip(part, zip(*kids)))
         # copied from a set, a frozenset is sized to fit; grown from the
@@ -250,26 +251,15 @@ class FrontierClosure:
     def first_interior_violation(self, max_level: int) -> Witness | None:
         """Lowest-level interior cardinality violation among edge levels
         0..max_level of the full tree, if any."""
-        if max_level < 0:
-            return None
-        while (
-            len(self._violations) <= max_level
-            and not self.closed
-            and self._aborted_at is None
-        ):
+        # levels 0..len-2 are checked, and a closed sequence repeats them
+        while self._violation is None and not self.closed and len(self._frontiers) <= max_level + 1:
             self._advance()
-        # Once closed, violations for levels >= preperiod repeat with the
-        # period, and one full period is always materialized.
-        return next((v for v in self._violations[: max_level + 1] if v is not None), None)
+        w = self._violation
+        return w if w is not None and w.level <= max_level else None
 
     def _level_index(self, level: int) -> int:
         """The materialized level holding the frontier of ``level``."""
         while level >= len(self._frontiers) and not self.closed:
-            if self._aborted_at is not None:
-                raise RuntimeError(
-                    f"frontier {level} unavailable: expansion stopped at the "
-                    f"level-{self._aborted_at} violation"
-                )
             self._advance()
         if level < len(self._frontiers):
             return level
@@ -291,7 +281,7 @@ def frontier_closure(rule: Rule, node_budget: int | None = None) -> FrontierClos
     """Compute frontiers until the sequence repeats, regardless of violations."""
     if not is_balanced(rule):
         raise ValueError("frontier closure is defined for balanced rules")
-    closure = FrontierClosure(rule, node_budget=node_budget, fail_fast=False)
+    closure = FrontierClosure(rule, node_budget=node_budget)
     try:
         while not closure.closed:
             closure._advance()

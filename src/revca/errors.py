@@ -1,7 +1,12 @@
-"""Exception types and resource budgets shared across the package."""
+"""Exception types, resource budgets and the integer syntax shared
+across the package."""
 
 import operator
 import os
+import re
+
+# an integer in ASCII digits: ``int`` also takes other scripts' digits and "_"
+_SIGNED_INT = re.compile(r"[+-]?[0-9]+")
 
 
 class RuleFormatError(ValueError):
@@ -39,13 +44,17 @@ class ResourceLimitError(RuntimeError):
 
 def read_budget(override: int | None, env_var: str, default: int) -> int:
     """``override`` if given, else the value of ``env_var``, else
-    ``default``. A given value that is not a positive integer is a
+    ``default``. A given value that is not a positive integer (in the
+    environment: ASCII digits, surrounding whitespace allowed) is a
     ValueError."""
     raw = os.environ.get(env_var) if override is None else override
     if raw is None:
         return default
     try:
-        value = int(raw) if override is None else operator.index(raw)
+        if override is not None:
+            value = operator.index(raw)
+        else:
+            value = int(raw) if _SIGNED_INT.fullmatch(raw.strip()) else 0
     except (TypeError, ValueError):
         value = 0
     if value < 1:

@@ -35,10 +35,8 @@ def parse_configuration(text: str, d: int) -> Configuration:
     return cells
 
 
-def format_configuration(cells: Configuration, d: int = 10) -> str:
-    if d <= 10:
-        return "".join(str(s) for s in cells)
-    return ",".join(str(s) for s in cells)
+def format_configuration(cells: Configuration) -> str:
+    return "".join(str(s) for s in cells)
 
 
 def step(rule: Rule, cells: Configuration) -> Configuration:

@@ -146,12 +146,11 @@ def _tarjan_sccs(vertices: Sequence[Pair], adj: Mapping[Pair, tuple[Pair, ...]])
     return sccs
 
 
-def _cycle_through(
-    v: Pair, members: set[Pair], adj: Mapping[Pair, tuple[Pair, ...]]
-) -> list[Pair]:
-    """Shortest cycle v -> ... -> v inside one strongly connected component."""
+def _cycle_through(v: Pair, adj: Mapping[Pair, tuple[Pair, ...]]) -> list[Pair]:
+    """Shortest cycle v -> ... -> v, for v on a cycle. A search that leaves
+    v's strongly connected component never returns, so the cycle stays in it."""
     parent: dict[Pair, Pair] = {}
-    frontier = [u for u in adj[v] if u in members]
+    frontier = list(adj[v])
     for u in frontier:
         parent.setdefault(u, v)
     while frontier:
@@ -160,7 +159,7 @@ def _cycle_through(
         nxt = []
         for u in frontier:
             for w in adj[u]:
-                if w in members and w not in parent:
+                if w not in parent:
                     parent[w] = u
                     nxt.append(w)
         frontier = nxt
@@ -191,14 +190,13 @@ def infinite_injective(rule: Rule) -> InjectivityResult:
     adj = pair_graph(rule)
     vertices = sorted(adj)
     for comp in _tarjan_sccs(vertices, adj):
-        members = set(comp)
         cyclic = len(comp) > 1 or comp[0] in adj[comp[0]]
         if not cyclic:
             continue
-        off_diagonal = [v for v in sorted(members) if v[0] != v[1]]
+        off_diagonal = [v for v in sorted(comp) if v[0] != v[1]]
         if not off_diagonal:
             continue
-        cycle = _cycle_through(off_diagonal[0], members, adj)
+        cycle = _cycle_through(off_diagonal[0], adj)
         return InjectivityResult(rule, False, _decorate(rule, cycle))
     return InjectivityResult(rule, True, None)
 

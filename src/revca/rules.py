@@ -19,12 +19,11 @@ an RMT from ``Sibl(i)``.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import RuleFormatError
+from .errors import _SIGNED_INT, RuleFormatError
 
 #: Hard cap on states per cell. d = 6 already means rule tables of
 #: 216 entries and strategy families of size (6!)^36; anything larger is
@@ -129,9 +128,6 @@ def is_balanced(rule: Rule) -> bool:
     return all(c == want for c in rule.state_counts())
 
 
-_SIGNED_INT = re.compile(r"[+-]?[0-9]+")
-
-
 def read_states(fields: Sequence[str], comma: bool) -> list[int]:
     """The integers written in ``fields``: comma-separated entries with an
     optional sign, or single digits. Only ASCII digits count; ``int`` and
@@ -145,7 +141,7 @@ def read_states(fields: Sequence[str], comma: bool) -> list[int]:
 
 
 def parse_rule(text: str, d: int) -> Rule:
-    """Parse a rule string (digits, or comma-separated ints for d > 10).
+    """Parse a rule string (digits, or comma-separated ints).
 
     The rightmost symbol is the next state of RMT 0, the leftmost of
     RMT d**3 - 1.
@@ -160,10 +156,6 @@ def parse_rule(text: str, d: int) -> Rule:
                 f"expected {d ** 3} comma-separated entries, got {len(fields)}"
             )
     else:
-        if d > 10:
-            raise RuleFormatError(
-                f"digit form is ambiguous for d={d} > 10; use comma-separated entries"
-            )
         if len(text) != d ** 3:
             raise RuleFormatError(
                 f"expected {d ** 3} digits for d={d}, got {len(text)}"
@@ -181,6 +173,4 @@ def parse_rule(text: str, d: int) -> Rule:
 
 def format_rule(rule: Rule) -> str:
     """Canonical text form; inverse of :func:`parse_rule`."""
-    if rule.d <= 10:
-        return "".join(str(v) for v in reversed(rule.table))
-    return ",".join(str(v) for v in reversed(rule.table))
+    return "".join(str(v) for v in reversed(rule.table))

@@ -183,9 +183,7 @@ def repeat_lanes(d: int, value: int, lanes: int) -> int:
 def _lane_constants(d: int, lanes: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """The kernel's ``classes`` and ``spread`` masks repeated over ``lanes``
     lanes. They are only ANDed in, and an AND of positive ints is as wide
-    as the narrower one, so constants for more lanes serve fewer:
-    ``successors`` rounds ``lanes`` up to a power of two to keep this
-    cache small."""
+    as the narrower one, so constants for more lanes serve fewer."""
     layout = _layout(d)
     return (
         repeat_lanes(d, layout.classes, lanes),
@@ -196,20 +194,20 @@ def _lane_constants(d: int, lanes: int) -> tuple[int, tuple[tuple[int, int], ...
 def successors(d: int, packed: int, masks: Iterable[int], lanes: int = 1) -> list[int]:
     """The interior child of the label ``packed & mask``, for each mask.
 
-    ``packed`` holds ``lanes`` nodes, one per lane, and each mask covers as
-    many lanes (see ``repeat_lanes``) or is -1; the children of a lane's
-    node sit in the same lane of every output. Successors depend on r only
-    through r mod d**2: fold each window set to its d**2 classes, move
-    class c to bit d*c and fill it to the d bits of sibling set c. A fold
-    shift carries bits into the field below, but only above its d**2
-    class bits, which the ``classes`` mask clears; spread and fill stay
-    inside a field. So no bit leaves its window field, and lanes never
-    mix.
+    ``packed`` holds up to ``lanes`` nodes, one per lane, and each mask
+    covers ``lanes`` lanes (see ``repeat_lanes``) or is -1; the children
+    of a lane's node sit in the same lane of every output. Successors
+    depend on r only through r mod d**2: fold each window set to its d**2
+    classes, move class c to bit d*c and fill it to the d bits of sibling
+    set c. A fold shift carries bits into the field below, but only above
+    its d**2 class bits, which the ``classes`` mask clears; spread and
+    fill stay inside a field. So no bit leaves its window field, and
+    lanes never mix.
     """
     layout = _layout(d)
     fold_shifts, classes, spread = layout.fold_shifts, layout.classes, layout.spread
     if lanes > 1:
-        classes, spread = _lane_constants(d, 1 << (lanes - 1).bit_length())
+        classes, spread = _lane_constants(d, lanes)
     out = []
     for mask in masks:
         label = packed & mask

@@ -276,6 +276,19 @@ def test_bad_budget_env_is_usage_error(capsys, monkeypatch, env, value, argv):
     assert env in err and value in err
 
 
+@pytest.mark.parametrize("env, argv", [("REVCA_NODE_BUDGET", CHECK_ARGS), ("REVCA_ORACLE_BUDGET", ORACLE_ARGS)])
+@pytest.mark.parametrize("value", ["1_0", "\uff11\uff10", "1\u0660"])
+def test_budget_env_takes_ascii_digits_only(capsys, monkeypatch, env, argv, value):
+    # int() reads all three as 10
+    monkeypatch.setenv(env, value)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert env in err and value in err
+    # surrounding whitespace is fine
+    monkeypatch.setenv(env, " 100000 ")
+    assert run(capsys, *argv)[0] == 0
+
+
 def test_argparse_usage_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["check", "--states", "3"])  # missing required --rule

@@ -253,6 +253,36 @@ def test_fail_fast_budget_counts_nodes_up_to_the_violator():
         decide(rule, 15, node_budget=1)
 
 
+def test_closure_expands_past_a_violation_when_asked():
+    # deciding stops at the level-1 violation; a later frontier is
+    # expanded only when asked for, and the decisions stay the same
+    rule = parse_rule("121000011202212202010121012", 3)
+    closure = FrontierClosure(rule)
+    witness = decide(rule, 15, closure=closure).witness
+    assert (witness.kind, witness.level) == ("edge_total", 1)
+    assert closure.frontier_sizes() == (1, 3)
+    assert closure.frontier_at(5) == frontier_closure(rule).frontier_at(5)
+    assert closure.levels_computed == 6
+    assert decide(rule, 15, closure=closure).witness == witness
+    assert [decide(rule, n, closure=closure).witness for n in range(3, 12)] == [
+        decide(rule, n).witness for n in range(3, 12)
+    ]
+
+
+def test_expanding_a_violating_level_counts_all_its_nodes():
+    # up to the violator, the root and one level-1 node fit a budget of
+    # 2; expanding level 1 needs all 3 of its nodes
+    rule = parse_rule("121000011202212202010121012", 3)
+    with pytest.raises(ResourceLimitError) as info:
+        frontier_closure(rule, node_budget=2)
+    assert info.value.frontier_sizes == (1, 3)
+    closure = FrontierClosure(rule, node_budget=2)
+    assert decide(rule, 15, closure=closure).witness.level == 1
+    with pytest.raises(ResourceLimitError) as info:
+        closure.frontier_at(2)
+    assert info.value.frontier_sizes == (1, 3)
+
+
 @pytest.mark.parametrize(
     "text, d, n, budget",
     [

@@ -139,13 +139,15 @@ def test_packed_lanes_equal_one_node_calls(case):
     d, nodes, masks = case
     width, lanes = lane_bytes(d), len(nodes)
     packed = int.from_bytes(b"".join(bits.to_bytes(width, "big") for bits in nodes), "big")
-    lane_masks = [repeat_lanes(d, mask, lanes) for mask in masks]
     alone = [successors(d, bits, masks) for bits in nodes]
-    for i, out in enumerate(successors(d, packed, lane_masks, lanes)):
-        raw = out.to_bytes(lanes * width, "big")
-        assert [int.from_bytes(raw[j * width:(j + 1) * width], "big") for j in range(lanes)] == [
-            kids[i] for kids in alone
-        ]
+    # lanes + 3 is a short chunk: masks and constants for more lanes
+    for span in (lanes, lanes + 3):
+        lane_masks = [repeat_lanes(d, mask, span) for mask in masks]
+        for i, out in enumerate(successors(d, packed, lane_masks, span)):
+            raw = out.to_bytes(lanes * width, "big")
+            assert [int.from_bytes(raw[j * width:(j + 1) * width], "big") for j in range(lanes)] == [
+                kids[i] for kids in alone
+            ]
 
 
 def test_empty_label_gives_empty_child():
