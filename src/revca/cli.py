@@ -186,8 +186,13 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value such as "-3:4" for an option; bound with "=" it
+    # reaches decide_range, which says what is out of range
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--cells-range" and ":" in argv[i + 1]:
+            argv[i : i + 2] = [f"--cells-range={argv[i + 1]}"]
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (RuleFormatError, ValueError) as exc:

@@ -22,19 +22,22 @@ anything. The frontier sequence is one lazy sequence per rule, computed
 only as far as callers ask; a decision never asks past the first
 violating level.
 
-A frontier holds each node as fixed-width big-endian bytes, one lane of
-``tree.lane_bytes(d)``, and advances one level at a time: the nodes not
-yet expanded are packed side by side and ``tree.successors`` derives all
-their children in one call per chunk. Bytes order equals ``bits`` order,
-so the first violator, the budget count and every witness are those of a
-node-by-node walk in ``bits`` order.
+A frontier is a frozenset of small-int node ids, handed out in discovery
+order the first time a node value is seen, so the nodes not yet expanded
+are the ids from the expanded count on. They are packed side by side as
+lanes (``tree.lane_bytes``: the fixed-width big-endian bytes of ``bits``)
+and ``tree.successors`` derives all their children in one call per chunk.
+Bytes order equals ``bits`` order, so the first violator, the budget
+count and every witness are those of a node-by-node walk in bits order.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heapify, heappop
-from itertools import chain
+from itertools import chain, count, islice
+from struct import Struct
 from typing import Iterable, Mapping
 
 from .errors import ResourceLimitError, read_budget
@@ -133,17 +136,15 @@ class FrontierClosure:
     """Lazily computed frontier sequence of one rule.
 
     ``frontier_at(l)`` is the frozenset of node values at level l of the
-    full tree. Inside, a node is its lane (see ``tree.lane_bytes``): the
-    fixed-width big-endian bytes of its ``bits``, which hash once and sort
-    in ``bits`` order. A frontier is a frozenset of them; ``levels``,
-    ``frontier_at`` and witnesses turn them into ``TreeNode``. A frontier
-    advances one level at a time: its nodes not yet expanded are packed
-    side by side and expanded by one kernel call per chunk. Children are
-    cached per node value (the cross-level repeat mechanism), and
-    whole-frontier repeats give the (preperiod, period) pair used to index
-    any level arithmetically. Ring-closing checks are cached per
-    materialized frontier, so every decision sharing the closure reuses
-    them.
+    full tree. Inside, three tables intern the nodes: ``_ids`` maps a
+    lane (see ``tree.lane_bytes``) to its id, ``_lane`` lists the lanes
+    by id, and ``_children[m]`` the id of every expanded node's m-child.
+    A frontier is a frozenset of ids; ``levels``, ``frontier_at`` and
+    witnesses turn them into ``TreeNode``. A node is expanded, and its
+    child lanes looked up, once however often it recurs; whole-frontier
+    repeats give the (preperiod, period) pair used to index any level
+    arithmetically. Ring-closing checks are cached per materialized
+    frontier, so every decision sharing the closure reuses them.
 
     The sequence goes only as far as callers ask. Levels are checked for
     the interior cardinality until one violates; that level stays
@@ -163,10 +164,13 @@ class FrontierClosure:
         self._lanes = 1 << (_CHUNK_BYTES // self._width).bit_length() - 1
         self._masks = label_masks(rule)
         self._lane_masks = tuple(repeat_lanes(d, m, self._lanes) for m in self._masks)
-        self._frontiers: list[frozenset[bytes]] = [frozenset([root(d).bits.to_bytes(self._width, "big")])]
-        self._frontier_index: dict[frozenset[bytes], int] = {self._frontiers[0]: 0}
+        # the root is id 0; looking up an unseen lane hands out the next id
+        self._lane = [root(d).bits.to_bytes(self._width, "big")]
+        self._ids: defaultdict[bytes, int] = defaultdict(count(1).__next__, {self._lane[0]: 0})
+        self._children: tuple[list[int], ...] = tuple([] for _ in range(d))
+        self._frontiers: list[frozenset[int]] = [frozenset([0])]
+        self._frontier_index: dict[frozenset[int], int] = {self._frontiers[0]: 0}
         self._violation: Witness | None = None
-        self._children: dict[bytes, tuple[bytes, ...]] = {}
         self._tails: dict[int, tuple | None] = {}
         self.preperiod: int | None = None
         self.period: int | None = None
@@ -175,9 +179,9 @@ class FrontierClosure:
     def closed(self) -> bool:
         return self.period is not None
 
-    def _nodes(self, frontier: frozenset[bytes]) -> frozenset[TreeNode]:
-        d = self.rule.d
-        return frozenset(TreeNode(d, int.from_bytes(node, "big")) for node in frontier)
+    def _nodes(self, frontier: frozenset[int]) -> frozenset[TreeNode]:
+        d, lane = self.rule.d, self._lane
+        return frozenset(TreeNode(d, int.from_bytes(lane[i], "big")) for i in frontier)
 
     @property
     def levels(self) -> tuple[frozenset[TreeNode], ...]:
@@ -201,8 +205,9 @@ class FrontierClosure:
         """
         level = len(self._frontiers) - 1
         frontier = self._frontiers[-1]
-        children = self._children
-        new = [node for node in frontier if node not in children]
+        children, ids = self._children, self._ids
+        expanded = len(children[0])
+        new = self._lane[expanded:]
         counted, witness = len(new), None
         if self._violation is None:
             # a node already expanded passed its check at an earlier level
@@ -217,7 +222,7 @@ class FrontierClosure:
                 first = min(bad)
                 counted = sum(node <= first for node in new)
                 witness = _witness(self.rule, level, int.from_bytes(first, "big"), bad[first], want)
-        if len(children) + counted > self.node_budget:
+        if expanded + counted > self.node_budget:
             raise ResourceLimitError(
                 f"more than {self.node_budget} distinct tree nodes; "
                 f"raise the budget (env {_NODE_BUDGET_ENV}) to continue",
@@ -232,14 +237,15 @@ class FrontierClosure:
             part = new[start : start + lanes]
             size = len(part) * width
             packed = int.from_bytes(b"".join(part), "big")
-            kids = [
-                [raw[i : i + width] for i in range(0, size, width)]
-                for raw in (c.to_bytes(size, "big") for c in successors(d, packed, self._lane_masks, lanes))
-            ]
-            children.update(zip(part, zip(*kids)))
+            # one unpack splits an output into its lanes; a child lane is
+            # hashed and compared only here, when it is looked up
+            unpack = Struct(f"{width}s" * len(part)).unpack
+            for column, c in zip(children, successors(d, packed, self._lane_masks, lanes)):
+                column.extend(map(ids.__getitem__, unpack(c.to_bytes(size, "big"))))
+        self._lane.extend(islice(ids, len(self._lane), None))
         # copied from a set, a frozenset is sized to fit; grown from the
         # children it would keep the slack of every resize
-        frontier = frozenset(set(chain.from_iterable(map(children.__getitem__, frontier))))
+        frontier = frozenset(set(chain.from_iterable(map(column.__getitem__, frontier) for column in children)))
         self._frontiers.append(frontier)
         seen_at = self._frontier_index.get(frontier)
         if seen_at is not None:
@@ -259,6 +265,8 @@ class FrontierClosure:
 
     def _level_index(self, level: int) -> int:
         """The materialized level holding the frontier of ``level``."""
+        if level < 0:
+            raise ValueError(f"level must be >= 0, got {level}")
         while level >= len(self._frontiers) and not self.closed:
             self._advance()
         if level < len(self._frontiers):
@@ -273,7 +281,7 @@ class FrontierClosure:
         """The ring-closing check of frontier ``level`` taken as level n-3."""
         key = self._level_index(level)
         if key not in self._tails:
-            self._tails[key] = _check_tail(self.rule, self._frontiers[key])
+            self._tails[key] = _check_tail(self.rule, map(self._lane.__getitem__, self._frontiers[key]))
         return self._tails[key]
 
 

@@ -35,9 +35,9 @@ lexicographic order of their ``by_window`` tuples.
 and the decider's frontier advance all derive children through it. It
 works on one node or on many packed side by side, each in a lane of
 ``lane_bytes(d)`` bytes; no bit leaves its window field, so lanes never
-mix. The decider holds a node as its lane, the fixed-width big-endian
-bytes of ``bits``: bytes hash once, and bytes order equals ``bits``
-order, so sorting either picks the same witness.
+mix. The decider interns each node once by its lane, the fixed-width
+big-endian bytes of ``bits``; bytes order equals ``bits`` order, so
+sorting either picks the same witness.
 """
 
 from __future__ import annotations

@@ -191,6 +191,12 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert "position 1" in err
+    for spelling in (["--cells-range", "-3:4"], ["--cells-range=-3:4"]):
+        code, out, err = run(
+            capsys, "check", "--states", "3", "--rule", FIG1_RULE, *spelling,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: need 3 <= n_lo <= n_hi, got -3..4\n"
 
 
 @pytest.mark.parametrize("digit", ["\u0661", "\uff11", "\u00b2"])

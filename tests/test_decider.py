@@ -44,6 +44,12 @@ REVERSIBLE_D5 = (
     "43210" * 25,
     "0000011111222223333344444" * 5,
 )
+# a Strategy III rule whose frontier sequence closes at (q, p) = (5, 2)
+STRATEGY_III_D5 = (
+    "11111222223333344444000000000011111222224444433333"
+    "44444222223333300000111110000011111222223333344444"
+    "0000011111333334444422222"
+)
 
 
 def test_unbalanced_rule_rejected_without_tree():
@@ -124,21 +130,39 @@ def test_closure_periodicity_indexing():
 
 
 def test_closure_levels_are_tree_nodes_at_the_boundary():
-    # the closure holds packed ints inside; callers (bench/layers.py among
-    # them) see TreeNodes equal to the frontiers derived by hand
-    texts = ((ODD_ONLY_RULE, 3), (FIG2_RULE, 3), ("01011010", 2), (REVERSIBLE_D4[2], 4))
+    # the closure holds node ids inside; callers (bench/layers.py among
+    # them) see TreeNodes equal to the frontiers derived by hand. The
+    # 5-state rule has 219 distinct nodes, 97 of them new at level 3 (two
+    # 64-lane kernel calls), and many that recur from level to level.
+    texts = (
+        (ODD_ONLY_RULE, 3),
+        (FIG2_RULE, 3),
+        ("01011010", 2),
+        (REVERSIBLE_D4[2], 4),
+        (STRATEGY_III_D5, 5),
+    )
     for text, d in texts:
         rule = parse_rule(text, d)
         closure = frontier_closure(rule)
         for frontier in closure.levels:
             assert all(isinstance(nd, TreeNode) and nd.d == d for nd in frontier)
         by_hand = {root(d)}
-        for level in range(40):  # preperiods here are 2..4
+        for level in range(40):  # preperiods here are 2..5
             frontier = closure.frontier_at(level)
             assert all(isinstance(nd, TreeNode) and nd.d == d for nd in frontier)
             assert frontier == by_hand, (text, level)
             labels = [edge_label(nd, rule, m) for nd in by_hand for m in range(d)]
             by_hand = {child(label, NodeClass.INTERIOR) for label in labels}
+    assert (closure.preperiod, closure.period) == (5, 2)
+    assert len(set().union(*closure.levels)) == 219
+    assert len(closure.levels[3] - set().union(*closure.levels[:3])) == 97
+
+
+def test_frontier_at_rejects_negative_levels():
+    closure = frontier_closure(parse_rule(SHIFTED_BLOCKS_RULE, 3))
+    for level in (-1, -100):
+        with pytest.raises(ValueError, match=f"got {level}"):
+            closure.frontier_at(level)
 
 
 def test_decide_reuses_provided_closure():
