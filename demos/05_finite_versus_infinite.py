@@ -27,7 +27,8 @@ print(f"  injective on the unbounded lattice but irreversible on some ring: "
       f"{len(report.counterexamples)}")
 print(f"  reversible on some ring but not unbounded-injective: "
       f"{len(report.finite_only)}")
-print("  (empirical evidence for the tested sizes only)")
+print("  (counterexamples is empty by the theorem in revca/infinite.py;")
+print("   only finite_only is measured, over the tested ring sizes)")
 
 print("\n  a few ring-only reversible rules and the sizes they work at:")
 for row in report.finite_only[:5]:

@@ -187,10 +187,10 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse takes a value such as "-3:4" for an option; bound with "=" it
-    # reaches decide_range, which says what is out of range
-    for i in reversed(range(len(argv) - 1)):
-        if argv[i] == "--cells-range" and ":" in argv[i + 1]:
+    # argparse takes a value such as "-3:4" for an option; bound with "=" to
+    # --cells-range or an abbreviation of it, it reaches decide_range
+    for i, arg in reversed(list(enumerate(argv[:-1]))):
+        if len(arg) > len("--cells") and "--cells-range".startswith(arg) and ":" in argv[i + 1]:
             argv[i : i + 2] = [f"--cells-range={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     try:

@@ -1,19 +1,21 @@
 """Injectivity of the global map on the unbounded lattice.
 
 Two distinct bi-infinite configurations with equal images trace a
-bi-infinite path through the *matched-output pair graph*: vertices are
-ordered pairs of de Bruijn vertices (two-cell windows), with an edge
-whenever both coordinates can advance one cell while emitting the same
-output symbol. Between a fixed ordered pair of de Bruijn vertices there
-is at most one edge, so a pair cycle's two coordinate label paths differ
-exactly when the cycle visits an off-diagonal pair. Divergent histories
-that reconverge (equal tails) also close into such a cycle because the de
-Bruijn graph is strongly connected. Hence:
+bi-infinite path through the *matched-output pair graph*: the product of
+the de Bruijn graph (``evolution.build_debruijn``) with itself, keeping
+the edge pairs that emit the same output symbol. Its vertices are ordered
+pairs of two-cell windows, with at most one edge between two of them, so
+a pair cycle's two coordinate label paths differ exactly when the cycle
+visits an off-diagonal pair. Divergent histories that reconverge (equal
+tails) also close into such a cycle because the de Bruijn graph is
+strongly connected. Hence:
 
     the map is non-injective  iff  some off-diagonal pair lies on a cycle,
 
 and looping that cycle yields two distinct spatially periodic
-configurations with the same image -- the returned witness.
+configurations with the same image -- the returned witness. The cycles
+are sought per strongly connected component; two plain traversals list
+the components in the order Tarjan's algorithm emits them.
 
 Theorem: a rule injective on the lattice is reversible on the n-cell ring
 for every n >= 3. Two distinct n-rings with one image, each repeated with
@@ -25,38 +27,30 @@ infinitely many, without being injective on the lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .decider import Verdict, decide_range
+from .evolution import build_debruijn
 from .rules import Rule, format_rule
 
 Window = tuple[int, int]
 Pair = tuple[Window, Window]
 
 
-def _window(w: int, d: int) -> Window:
-    return (w // d, w % d)
-
-
 def pair_graph(rule: Rule) -> dict[Pair, tuple[Pair, ...]]:
-    """Adjacency of the matched-output pair graph over ordered window pairs."""
+    """Adjacency of the matched-output pair graph: the product of
+    ``build_debruijn(rule)`` with itself, keeping the edge pairs whose
+    outputs agree. Keys run over (w1, w2), out-edges over (c1, c2)."""
+    graph = build_debruijn(rule)
     d = rule.d
-    dd = d * d
-    table = rule.table
-    adj: dict[Pair, tuple[Pair, ...]] = {}
-    for w1 in range(dd):
-        for w2 in range(dd):
-            outs = []
-            for c1 in range(d):
-                v = table[w1 * d + c1]
-                for c2 in range(d):
-                    if table[w2 * d + c2] == v:
-                        outs.append(
-                            (_window((w1 * d + c1) % dd, d), _window((w2 * d + c2) % dd, d))
-                        )
-            adj[(_window(w1, d), _window(w2, d))] = tuple(outs)
-    return adj
+    out_edges = [graph.edges[w * d : (w + 1) * d] for w in range(d * d)]
+    by_vertex = list(zip(graph.vertices, out_edges))
+    return {
+        (u1, u2): tuple((e1.dst, e2.dst) for e1 in out1 for e2 in out2 if e1.output == e2.output)
+        for u1, out1 in by_vertex
+        for u2, out2 in by_vertex
+    }
 
 
 @dataclass(frozen=True)
@@ -98,64 +92,55 @@ class InjectivityResult:
         }
 
 
-def _tarjan_sccs(vertices: Sequence[Pair], adj: Mapping[Pair, tuple[Pair, ...]]) -> list[list[Pair]]:
-    """Iterative Tarjan; components in reverse topological order."""
-    index_of: dict[Pair, int] = {}
-    low: dict[Pair, int] = {}
-    on_stack: set[Pair] = set()
-    stack: list[Pair] = []
-    sccs: list[list[Pair]] = []
-    counter = 0
-    for start in vertices:
-        if start in index_of:
-            continue
-        work = [(start, iter(adj[start]))]
-        index_of[start] = low[start] = counter
-        counter += 1
-        stack.append(start)
-        on_stack.add(start)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for u in it:
-                if u not in index_of:
-                    index_of[u] = low[u] = counter
-                    counter += 1
-                    stack.append(u)
-                    on_stack.add(u)
-                    work.append((u, iter(adj[u])))
-                    advanced = True
-                    break
-                if u in on_stack:
-                    low[v] = min(low[v], index_of[u])
-            if advanced:
-                continue
+def _sccs(adj: Mapping[Pair, tuple[Pair, ...]]) -> list[list[Pair]]:
+    """Strongly connected components in the order Tarjan's algorithm emits
+    them from ``sorted(adj)`` (reverse topological), by two traversals.
+    Pass 1 is Tarjan's depth-first search and records finishing order. A
+    component's root, its first-discovered vertex, finishes last in it, and
+    Tarjan emits a component when its root finishes. Pass 2 meets the roots
+    in decreasing finishing order and collects each component along
+    reversed edges, so its list reversed is Tarjan's."""
+    finished: list[Pair] = []
+    seen: set[Pair] = set()
+    work = [(None, iter(sorted(adj)))]  # a virtual root above every vertex
+    while work:
+        v, it = work[-1]
+        for u in it:
+            if u not in seen:
+                seen.add(u)
+                work.append((u, iter(adj[u])))
+                break
+        else:
             work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index_of[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack.remove(u)
+            finished.append(v)
+    finished.pop()  # the virtual root
+    reverse: dict[Pair, list[Pair]] = {v: [] for v in adj}
+    for v, outs in adj.items():
+        for u in outs:
+            reverse[u].append(v)
+    sccs: list[list[Pair]] = []
+    assigned: set[Pair] = set()
+    for root in reversed(finished):
+        if root in assigned:
+            continue
+        assigned.add(root)
+        comp = [root]
+        for v in comp:  # grows while it is walked
+            for u in reverse[v]:
+                if u not in assigned:
+                    assigned.add(u)
                     comp.append(u)
-                    if u == v:
-                        break
-                sccs.append(comp)
-    return sccs
+        sccs.append(comp)
+    return sccs[::-1]
 
 
 def _cycle_through(v: Pair, adj: Mapping[Pair, tuple[Pair, ...]]) -> list[Pair]:
-    """Shortest cycle v -> ... -> v, for v on a cycle. A search that leaves
+    """Shortest cycle through v (v on a cycle) as [successor of v, ..., v]:
+    each pair steps to the next, v back to the first. A search that leaves
     v's strongly connected component never returns, so the cycle stays in it."""
     parent: dict[Pair, Pair] = {}
-    frontier = list(adj[v])
-    for u in frontier:
-        parent.setdefault(u, v)
-    while frontier:
-        if v in parent:
-            break
+    frontier = [v]
+    while frontier and v not in parent:
         nxt = []
         for u in frontier:
             for w in adj[u]:
@@ -164,12 +149,9 @@ def _cycle_through(v: Pair, adj: Mapping[Pair, tuple[Pair, ...]]) -> list[Pair]:
                     nxt.append(w)
         frontier = nxt
     path = [v]
-    u = parent[v]
-    while u != v:
-        path.append(u)
-        u = parent[u]
-    path.reverse()
-    return path  # cycle as [v, ..., last], last -> v closes it
+    while parent[path[-1]] != v:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 def _decorate(rule: Rule, cycle: Sequence[Pair]) -> InjectivityWitness:
@@ -188,8 +170,7 @@ def _decorate(rule: Rule, cycle: Sequence[Pair]) -> InjectivityWitness:
 def infinite_injective(rule: Rule) -> InjectivityResult:
     """Test injectivity of the rule's global map on the unbounded lattice."""
     adj = pair_graph(rule)
-    vertices = sorted(adj)
-    for comp in _tarjan_sccs(vertices, adj):
+    for comp in _sccs(adj):
         cyclic = len(comp) > 1 or comp[0] in adj[comp[0]]
         if not cyclic:
             continue
@@ -221,20 +202,14 @@ class ConjectureReport:
     n_lo: int
     n_hi: int
     rows: tuple[RuleExperiment, ...]
-    counterexamples: tuple[RuleExperiment, ...] = field(init=False)
-    finite_only: tuple[RuleExperiment, ...] = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "counterexamples",
-            tuple(r for r in self.rows if r.injective and not all(r.verdicts.values())),
-        )
-        object.__setattr__(
-            self,
-            "finite_only",
-            tuple(r for r in self.rows if not r.injective and any(r.verdicts.values())),
-        )
+    @property
+    def counterexamples(self) -> tuple[RuleExperiment, ...]:
+        return tuple(r for r in self.rows if r.injective and not all(r.verdicts.values()))
+
+    @property
+    def finite_only(self) -> tuple[RuleExperiment, ...]:
+        return tuple(r for r in self.rows if not r.injective and any(r.verdicts.values()))
 
     def to_dict(self) -> dict:
         return {

@@ -191,7 +191,7 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert "position 1" in err
-    for spelling in (["--cells-range", "-3:4"], ["--cells-range=-3:4"]):
+    for spelling in (["--cells-range", "-3:4"], ["--cells-range=-3:4"], ["--cells-r", "-3:4"]):
         code, out, err = run(
             capsys, "check", "--states", "3", "--rule", FIG1_RULE, *spelling,
         )

@@ -6,11 +6,12 @@ Run from any checkout, with no arguments:
 
 It imports revca from the ``src/`` of the checkout it sits in, runs the
 calls below on a fixed rule corpus and prints the sha256 of their
-serialised records on stdout (record counts go to stderr). Two checkouts
-whose digests agree give the same verdicts, witnesses, frontier
-sequences, budget errors and injectivity witnesses on every case, so a
-change meant to keep behaviour is checked by running this on its parent
-and on itself. It takes a few minutes on one core.
+serialised records on stdout. Each record section's count and sha256 go
+to stderr, so a mismatch names its section. Two checkouts whose digests
+agree give the same verdicts, witnesses, frontier sequences, budget
+errors and injectivity witnesses on every case, so a change meant to
+keep behaviour is checked by running this on its parent and on itself.
+It takes about a minute on one core.
 
 Corpus (562 rules): all 256 two-state rules; 60 each of Strategy I, II
 and III 3-state rules (seed 41); 100 random balanced 3-state rules (seed
@@ -187,13 +188,19 @@ def records(rules: list[Rule]) -> dict:
     return out
 
 
+def digest(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
 def main() -> None:
     out = records(corpus())
     for name, rows in out.items():
         errors = sum('"error"' in json.dumps(row) for row in rows)
-        print(f"{name}: {len(rows)} records, {errors} with budget errors", file=sys.stderr)
-    blob = json.dumps(out, sort_keys=True, separators=(",", ":")).encode()
-    print(hashlib.sha256(blob).hexdigest())
+        print(
+            f"{name}: {len(rows)} records, {errors} with budget errors, sha256 {digest(rows)}",
+            file=sys.stderr,
+        )
+    print(digest(out))
 
 
 if __name__ == "__main__":
