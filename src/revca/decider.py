@@ -24,11 +24,12 @@ violating level.
 
 A frontier is a frozenset of small-int node ids, handed out in discovery
 order the first time a node value is seen, so the nodes not yet expanded
-are the ids from the expanded count on. They are packed side by side as
-lanes (``tree.lane_bytes``: the fixed-width big-endian bytes of ``bits``)
-and ``tree.successors`` derives all their children in one call per chunk.
-Bytes order equals ``bits`` order, so the first violator, the budget
-count and every witness are those of a node-by-node walk in bits order.
+are the ids from the expanded count on. Each node is kept as its lane
+(``tree.lane_bytes``: the fixed-width big-endian bytes of ``bits``), and
+``tree.expand_lanes`` derives the new lanes' children chunk by chunk, so
+this module deals in ids and lanes only. Bytes order equals ``bits``
+order, so the first violator, the budget count and every witness are
+those of a node-by-node walk in bits order.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heapify, heappop
 from itertools import chain, count, islice
-from struct import Struct
 from typing import Iterable, Mapping
 
 from .errors import ResourceLimitError, read_budget
@@ -47,19 +47,16 @@ from .tree import (
     TreeNode,
     class_filter,
     edge_label,
+    expand_lanes,
     expected_edge_total,
     label_masks,
     lane_bytes,
-    repeat_lanes,
     root,
     successors,
 )
 
 DEFAULT_NODE_BUDGET = 100_000
 _NODE_BUDGET_ENV = "REVCA_NODE_BUDGET"
-# Packed nodes per kernel call, in bytes. A call holds a few ints of this
-# size at once, so the cap bounds what it adds to the frontiers' memory.
-_CHUNK_BYTES = 32 * 1024
 
 # Classes of the nodes the ring-closing edges at levels n-3 and n-2 lead
 # to; the leaves after level n-1 are not checked.
@@ -159,13 +156,9 @@ class FrontierClosure:
         d = rule.d
         # every interior edge carries what level 0 of a 3-cell ring carries
         self._interior_total = expected_edge_total(0, 3, d)
-        self._width = lane_bytes(d)
-        # nodes per kernel call: the largest power of two that fits a chunk
-        self._lanes = 1 << (_CHUNK_BYTES // self._width).bit_length() - 1
         self._masks = label_masks(rule)
-        self._lane_masks = tuple(repeat_lanes(d, m, self._lanes) for m in self._masks)
         # the root is id 0; looking up an unseen lane hands out the next id
-        self._lane = [root(d).bits.to_bytes(self._width, "big")]
+        self._lane = [root(d).bits.to_bytes(lane_bytes(d), "big")]
         self._ids: defaultdict[bytes, int] = defaultdict(count(1).__next__, {self._lane[0]: 0})
         self._children: tuple[list[int], ...] = tuple([] for _ in range(d))
         self._frontiers: list[frozenset[int]] = [frozenset([0])]
@@ -232,16 +225,10 @@ class FrontierClosure:
         if witness is not None:
             self._violation = witness
             return
-        d, width, lanes = self.rule.d, self._width, self._lanes
-        for start in range(0, len(new), lanes):
-            part = new[start : start + lanes]
-            size = len(part) * width
-            packed = int.from_bytes(b"".join(part), "big")
-            # one unpack splits an output into its lanes; a child lane is
-            # hashed and compared only here, when it is looked up
-            unpack = Struct(f"{width}s" * len(part)).unpack
-            for column, c in zip(children, successors(d, packed, self._lane_masks, lanes)):
-                column.extend(map(ids.__getitem__, unpack(c.to_bytes(size, "big"))))
+        for chunk in expand_lanes(self.rule.d, new, self._masks):
+            # a child lane is hashed and compared only here, when it is looked up
+            for column, kids in zip(children, chunk):
+                column.extend(map(ids.__getitem__, kids))
         self._lane.extend(islice(ids, len(self._lane), None))
         # copied from a set, a frozenset is sized to fit; grown from the
         # children it would keep the slack of every resize
@@ -281,7 +268,8 @@ class FrontierClosure:
         """The ring-closing check of frontier ``level`` taken as level n-3."""
         key = self._level_index(level)
         if key not in self._tails:
-            self._tails[key] = _check_tail(self.rule, map(self._lane.__getitem__, self._frontiers[key]))
+            lanes = map(self._lane.__getitem__, self._frontiers[key])
+            self._tails[key] = _check_tail(self.rule, self._masks, lanes)
         return self._tails[key]
 
 
@@ -300,7 +288,7 @@ def frontier_closure(rule: Rule, node_budget: int | None = None) -> FrontierClos
     return closure
 
 
-def _check_tail(rule: Rule, frontier: Iterable[bytes]) -> tuple | None:
+def _check_tail(rule: Rule, masks: tuple[int, ...], frontier: Iterable[bytes]) -> tuple | None:
     """Check the three final edge levels from the level-(n-3) frontier,
     applying the two ring-closing filters. Depends only on the frontier.
 
@@ -309,7 +297,6 @@ def _check_tail(rule: Rule, frontier: Iterable[bytes]) -> tuple | None:
     bits).
     """
     d = rule.d
-    masks = label_masks(rule)
     wants = tuple(expected_edge_total(offset, 3, d) for offset in range(3))
     filters = tuple(class_filter(d, node_class) for node_class in _TAIL_CLASSES)
     seen: tuple[set[int], set[int]] = (set(), set())

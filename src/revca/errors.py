@@ -44,15 +44,15 @@ class ResourceLimitError(RuntimeError):
 
 def read_budget(override: int | None, env_var: str, default: int) -> int:
     """``override`` if given, else the value of ``env_var``, else
-    ``default``. A given value that is not a positive integer (in the
-    environment: ASCII digits, surrounding whitespace allowed) is a
-    ValueError."""
+    ``default``. A given value that is not a positive integer (a bool is
+    not; in the environment: ASCII digits, surrounding whitespace allowed)
+    is a ValueError."""
     raw = os.environ.get(env_var) if override is None else override
     if raw is None:
         return default
     try:
         if override is not None:
-            value = operator.index(raw)
+            value = 0 if isinstance(raw, bool) else operator.index(raw)
         else:
             value = int(raw) if _SIGNED_INT.fullmatch(raw.strip()) else 0
     except (TypeError, ValueError):

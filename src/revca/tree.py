@@ -31,13 +31,14 @@ being the d**3-bit field at ``(d**2 - 1 - w) * d**3``. Window 0 is the
 most significant field, so ordering nodes by ``bits`` is the
 lexicographic order of their ``by_window`` tuples.
 
-``successors`` is the one child kernel: ``child``, the ring-closing walk
-and the decider's frontier advance all derive children through it. It
+``successors(d, packed, masks)`` is the one child kernel: ``child``, the
+ring-closing walk and ``expand_lanes`` derive children through it. It
 works on one node or on many packed side by side, each in a lane of
 ``lane_bytes(d)`` bytes; no bit leaves its window field, so lanes never
-mix. The decider interns each node once by its lane, the fixed-width
-big-endian bytes of ``bits``; bytes order equals ``bits`` order, so
-sorting either picks the same witness.
+mix. Only this module packs: ``expand_lanes`` calls the kernel on chunks
+of ``_CHUNK_BYTES``. The decider interns each node once by its lane, the
+fixed-width big-endian bytes of ``bits``; bytes order equals ``bits``
+order, so sorting either picks the same witness.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from struct import Struct
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .rules import Rule, _equi_sets, _sibl_sets, validate_state_count
 
@@ -108,15 +110,32 @@ class TreeNode:
         return self.bits == 0
 
 
+# Packed nodes per kernel call, in bytes. A call holds a few ints of this
+# size at once, so the cap bounds what it adds to the frontiers' memory.
+_CHUNK_BYTES = 32 * 1024
+
+
 def _mask(rmts: Iterable[int]) -> int:
     return sum(1 << r for r in rmts)
 
 
+def lane_bytes(d: int) -> int:
+    """Bytes per node when nodes are packed side by side."""
+    return -(-d ** 5 // 8)
+
+
+def repeat_lanes(d: int, value: int, lanes: int) -> int:
+    """``value``, a one-node int, repeated in each of ``lanes`` lanes."""
+    width = lane_bytes(d)
+    return int.from_bytes(value.to_bytes(width, "big") * lanes, "big")
+
+
 class _Layout(NamedTuple):
-    replicate: int                       # bit 0 of every window field
+    lanes: int                           # nodes per kernel call
+    replicate: int                       # bit 0 of every window field of one node
     fold_shifts: tuple[int, ...]         # t * d**2 for t in 1..d-1
-    classes: int                         # low d**2 bits of every field
-    spread: tuple[tuple[int, int], ...]  # (bits to move, shift) per step
+    classes: int                         # low d**2 bits of every field, all lanes
+    spread: tuple[tuple[int, int], ...]  # (bits to move in all lanes, shift) per step
     second_last: int                     # packed SECOND_LAST filter
     last: int                            # packed LAST filter
 
@@ -124,6 +143,7 @@ class _Layout(NamedTuple):
 @lru_cache(maxsize=None)
 def _layout(d: int) -> _Layout:
     dd, width = d * d, d ** 3
+    lanes = _CHUNK_BYTES // lane_bytes(d)
     replicate = sum(1 << (w * width) for w in range(dd))
     # Class c sits at bit c of its field and must reach bit d*c. Move it
     # by (d-1) * 2**k for each binary digit k of c, highest digit first;
@@ -131,13 +151,14 @@ def _layout(d: int) -> _Layout:
     spread, pos = [], list(range(dd))
     for k in reversed(range((dd - 1).bit_length())):
         move = sum(1 << pos[c] for c in range(dd) if c >> k & 1)
-        spread.append((move * replicate, (d - 1) << k))
+        spread.append((repeat_lanes(d, move * replicate, lanes), (d - 1) << k))
         pos = [p + ((d - 1) << k if c >> k & 1 else 0) for c, p in enumerate(pos)]
     residue = [_mask(range(s, width, d)) for s in range(d)]
     return _Layout(
+        lanes=lanes,
         replicate=replicate,
         fold_shifts=tuple(t * dd for t in range(1, d)),
-        classes=((1 << dd) - 1) * replicate,
+        classes=repeat_lanes(d, ((1 << dd) - 1) * replicate, lanes),
         spread=tuple(spread),
         second_last=TreeNode.from_windows(d, (residue[w // d] for w in range(dd))).bits,
         last=TreeNode.from_windows(d, map(_mask, _equi_sets(d))).bits,
@@ -152,10 +173,10 @@ def root(d: int) -> TreeNode:
 
 
 def label_masks(rule: Rule) -> tuple[int, ...]:
-    """Packed edge masks: ``bits & label_masks(rule)[m]`` is the m-edge
-    label of a node of ``rule.d`` states."""
-    replicate = _layout(rule.d).replicate
-    return tuple(mask * replicate for mask in rule.value_masks)
+    """Edge masks over a full chunk of lanes: ``packed & masks[m]`` holds
+    the m-edge label of each node in ``packed``, one node or a chunk."""
+    layout = _layout(rule.d)
+    return tuple(repeat_lanes(rule.d, mask * layout.replicate, layout.lanes) for mask in rule.value_masks)
 
 
 def edge_label(node: TreeNode, rule: Rule, m: int) -> TreeNode:
@@ -168,35 +189,14 @@ def edge_label(node: TreeNode, rule: Rule, m: int) -> TreeNode:
     return TreeNode(d, node.bits & rule.value_masks[m] * _layout(d).replicate)
 
 
-def lane_bytes(d: int) -> int:
-    """Bytes per node when nodes are packed side by side."""
-    return -(-d ** 5 // 8)
-
-
-def repeat_lanes(d: int, value: int, lanes: int) -> int:
-    """``value``, a one-node int, repeated in each of ``lanes`` lanes."""
-    width = lane_bytes(d)
-    return int.from_bytes(value.to_bytes(width, "big") * lanes, "big")
-
-
-@lru_cache(maxsize=None)
-def _lane_constants(d: int, lanes: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The kernel's ``classes`` and ``spread`` masks repeated over ``lanes``
-    lanes. They are only ANDed in, and an AND of positive ints is as wide
-    as the narrower one, so constants for more lanes serve fewer."""
-    layout = _layout(d)
-    return (
-        repeat_lanes(d, layout.classes, lanes),
-        tuple((repeat_lanes(d, move, lanes), s) for move, s in layout.spread),
-    )
-
-
-def successors(d: int, packed: int, masks: Iterable[int], lanes: int = 1) -> list[int]:
+def successors(d: int, packed: int, masks: Iterable[int]) -> list[int]:
     """The interior child of the label ``packed & mask``, for each mask.
 
-    ``packed`` holds up to ``lanes`` nodes, one per lane, and each mask
-    covers ``lanes`` lanes (see ``repeat_lanes``) or is -1; the children
-    of a lane's node sit in the same lane of every output. Successors
+    ``packed`` holds one node or a chunk of them, one per lane, and each
+    mask covers at least as many lanes (``label_masks`` covers a chunk) or
+    is -1; the children of a lane's node sit in the same lane of every
+    output. The constants cover a chunk too: an AND of positive ints is as
+    wide as the narrower one, so they serve fewer lanes. Successors
     depend on r only through r mod d**2: fold each window set to its d**2
     classes, move class c to bit d*c and fill it to the d bits of sibling
     set c. A fold shift carries bits into the field below, but only above
@@ -206,8 +206,6 @@ def successors(d: int, packed: int, masks: Iterable[int], lanes: int = 1) -> lis
     """
     layout = _layout(d)
     fold_shifts, classes, spread = layout.fold_shifts, layout.classes, layout.spread
-    if lanes > 1:
-        classes, spread = _lane_constants(d, lanes)
     out = []
     for mask in masks:
         label = packed & mask
@@ -220,6 +218,19 @@ def successors(d: int, packed: int, masks: Iterable[int], lanes: int = 1) -> lis
             f = f ^ t | t << s
         out.append((f << d) - f)
     return out
+
+
+def expand_lanes(d: int, nodes: Sequence[bytes], masks: Sequence[int]) -> Iterator[list[tuple[bytes, ...]]]:
+    """The children of ``nodes``, which are lanes, under each mask: per
+    ``successors`` call on up to ``_CHUNK_BYTES`` of them, one tuple of
+    child lanes per mask, in node order."""
+    width, lanes = lane_bytes(d), _layout(d).lanes
+    for start in range(0, len(nodes), lanes):
+        part = nodes[start : start + lanes]
+        size = len(part) * width
+        unpack = Struct(f"{width}s" * len(part)).unpack
+        packed = int.from_bytes(b"".join(part), "big")
+        yield [unpack(c.to_bytes(size, "big")) for c in successors(d, packed, masks)]
 
 
 def class_filter(d: int, node_class: NodeClass) -> int:

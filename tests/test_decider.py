@@ -2,7 +2,9 @@
 
 import dataclasses
 import gc
+import hashlib
 import itertools
+import json
 import traceback
 
 import pytest
@@ -23,7 +25,7 @@ from revca import (
     sample_strategy,
 )
 from revca.decider import frontier_closure
-from revca.strategies import random_balanced_rules, rule_at, strategy_family_size
+from revca.strategies import enumerate_strategy, random_balanced_rules, rule_at, strategy_family_size
 from revca.tree import TreeNode, expected_edge_total, root
 
 FIG1_RULE = "201210210201210210201210210"
@@ -328,7 +330,7 @@ def test_minimal_node_budget(text, d, n, budget):
 
 def test_bad_node_budget_argument_is_value_error():
     rule = parse_rule(SHIFTED_BLOCKS_RULE, 3)
-    for bad in (0, -3, 2.5):
+    for bad in (0, -3, 2.5, True):
         with pytest.raises(ValueError, match=f"got {bad}"):
             decide(rule, 10, node_budget=bad)
         with pytest.raises(ValueError, match=f"got {bad}"):
@@ -415,3 +417,21 @@ def test_tree_matches_oracle_on_drawn_rules(rule):
         if w is not None and w.kind == "edge_total":
             assert edge_label(w.node, rule, w.edge_state).total() == w.actual != w.expected
         n += 1
+
+
+def test_witnesses_are_pinned():
+    # which node a witness names depends on the order nodes are checked
+    # in; the digest pins every verdict's level, sizes and witness
+    rules = [Rule(2, t) for t in itertools.product(range(2), repeat=8)]
+    rules += enumerate_strategy("III", 3)
+    rules += sample_strategy("I", 3, 20, seed=41)
+    records = []
+    for rule in rules:
+        for v in decide_range(rule, 3, 12).values():
+            w = v.witness
+            if w is not None:
+                bits = None if w.node is None else w.node.bits
+                w = [w.kind, w.detail, w.level, w.edge_state, w.expected, w.actual, bits]
+            records.append([v.n, v.reversible, v.preperiod, v.period, list(v.frontier_sizes), w])
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == "8b53b4b76e479ba0c5dd65bc108baa951f4552aa3ddef57f9955d61767ca83c4"

@@ -73,7 +73,7 @@ def test_budget_enforced():
 
 def test_bad_budget_argument_is_value_error():
     rule = parse_rule(FIG1_RULE, 3)
-    for bad in (0, -1, -3, 2.5):
+    for bad in (0, -1, -3, 2.5, True):
         with pytest.raises(ValueError, match=f"got {bad}"):
             oracle_is_reversible(rule, 4, budget=bad)
         with pytest.raises(ValueError, match=f"got {bad}"):

@@ -9,10 +9,14 @@ from hypothesis import strategies as st
 from revca import NodeClass, Rule, child, edge_label, oracle_is_reversible, parse_rule
 from revca.oracle import find_nonreachable
 from revca.rules import sibl_set
+from revca.strategies import random_balanced_rules
 from revca.tree import (
     TreeNode,
+    _layout,
+    expand_lanes,
     expected_edge_total,
     format_node,
+    label_masks,
     lane_bytes,
     node_is_balanced,
     repeat_lanes,
@@ -140,14 +144,33 @@ def test_packed_lanes_equal_one_node_calls(case):
     width, lanes = lane_bytes(d), len(nodes)
     packed = int.from_bytes(b"".join(bits.to_bytes(width, "big") for bits in nodes), "big")
     alone = [successors(d, bits, masks) for bits in nodes]
-    # lanes + 3 is a short chunk: masks and constants for more lanes
+    # lanes + 3 is a short chunk: masks for more lanes
     for span in (lanes, lanes + 3):
         lane_masks = [repeat_lanes(d, mask, span) for mask in masks]
-        for i, out in enumerate(successors(d, packed, lane_masks, span)):
+        for i, out in enumerate(successors(d, packed, lane_masks)):
             raw = out.to_bytes(lanes * width, "big")
             assert [int.from_bytes(raw[j * width:(j + 1) * width], "big") for j in range(lanes)] == [
                 kids[i] for kids in alone
             ]
+
+
+def test_expand_lanes_crosses_the_chunk_boundary():
+    rng = random.Random(12)
+    for d in range(2, 7):
+        width, lanes = lane_bytes(d), _layout(d).lanes
+        # a full chunk, then a short one
+        nodes = [rng.getrandbits(d ** 5).to_bytes(width, "big") for _ in range(lanes + 5)]
+        (rule,) = random_balanced_rules(d, 1, seed=d)
+        masks = (*label_masks(rule), -1)
+        got, calls = [[] for _ in masks], 0
+        for chunk in expand_lanes(d, nodes, masks):
+            calls += 1
+            for column, kids in zip(got, chunk):
+                column.extend(kids)
+        assert calls == 2
+        alone = [successors(d, int.from_bytes(node, "big"), masks) for node in nodes]
+        for i, column in enumerate(got):
+            assert [int.from_bytes(lane, "big") for lane in column] == [kids[i] for kids in alone]
 
 
 def test_empty_label_gives_empty_child():
