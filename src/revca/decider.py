@@ -17,17 +17,19 @@ preperiod q and period p. That turns the decision for any n into
 
 Any failed cardinality check certifies irreversibility with a witness;
 if nothing fails the tree is complete and the CA is reversible. An
-unbalanced rule fails at the root, so it is rejected without building
-anything. The frontier sequence is one lazy sequence per rule, computed
-only as far as callers ask; a decision never asks past the first
-violating level.
+unbalanced rule fails at the root, so it is rejected with its closure
+built but never advanced. The frontier sequence is one lazy sequence per
+rule, computed only as far as callers ask; a decision never asks past
+the first violating level.
 
 A frontier is a frozenset of small-int node ids, handed out in discovery
 order the first time a node value is seen, so the nodes not yet expanded
 are the ids from the expanded count on. Each node is kept as its lane
-(``tree.lane_bytes``: the fixed-width big-endian bytes of ``bits``), and
-``tree.expand_lanes`` derives the new lanes' children chunk by chunk, so
-this module deals in ids and lanes only. Bytes order equals ``bits``
+(``tree.lane_bytes``: the fixed-width big-endian bytes of ``bits``).
+``tree`` makes every check on a node value: ``first_violator`` checks a
+level's new lanes, ``ring_closing_violation`` walks a frontier through
+the ring-closing levels, and ``expand_lanes`` derives the children. This
+module only sequences ids and frontiers. Bytes order equals ``bits``
 order, so the first violator, the budget count and every witness are
 those of a node-by-node walk in bits order.
 """
@@ -36,31 +38,23 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from heapq import heapify, heappop
 from itertools import chain, count, islice
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import ResourceLimitError, read_budget
 from .rules import Rule, format_rule, is_balanced
 from .tree import (
-    NodeClass,
     TreeNode,
-    class_filter,
-    edge_label,
     expand_lanes,
-    expected_edge_total,
+    first_violator,
     label_masks,
     lane_bytes,
+    ring_closing_violation,
     root,
-    successors,
 )
 
 DEFAULT_NODE_BUDGET = 100_000
 _NODE_BUDGET_ENV = "REVCA_NODE_BUDGET"
-
-# Classes of the nodes the ring-closing edges at levels n-3 and n-2 lead
-# to; the leaves after level n-1 are not checked.
-_TAIL_CLASSES = (NodeClass.SECOND_LAST, NodeClass.LAST)
 
 
 @dataclass(frozen=True)
@@ -81,11 +75,10 @@ class Witness:
     node: TreeNode | None = None
 
 
-def _witness(rule: Rule, level: int, bits: int, m: int, expected: int) -> Witness:
-    """The witness for the m-edge of the node ``bits`` at ``level``, whose
-    RMT count differs from ``expected``."""
-    node = TreeNode(rule.d, bits)
-    actual = edge_label(node, rule, m).total()
+def _witness(d: int, level: int, bits: int, m: int, expected: int, actual: int) -> Witness:
+    """The witness for the m-edge of the node ``bits`` at ``level``, which
+    carries ``actual`` RMTs where ``expected`` are needed."""
+    node = TreeNode(d, bits)
     return Witness(
         kind="edge_total",
         detail=(
@@ -154,8 +147,6 @@ class FrontierClosure:
         self.rule = rule
         self.node_budget = read_budget(node_budget, _NODE_BUDGET_ENV, DEFAULT_NODE_BUDGET)
         d = rule.d
-        # every interior edge carries what level 0 of a 3-cell ring carries
-        self._interior_total = expected_edge_total(0, 3, d)
         self._masks = label_masks(rule)
         # the root is id 0; looking up an unseen lane hands out the next id
         self._lane = [root(d).bits.to_bytes(lane_bytes(d), "big")]
@@ -202,19 +193,12 @@ class FrontierClosure:
         expanded = len(children[0])
         new = self._lane[expanded:]
         counted, witness = len(new), None
-        if self._violation is None:
-            # a node already expanded passed its check at an earlier level
-            want, bad = self._interior_total, {}
-            for node in new:
-                bits = int.from_bytes(node, "big")
-                for m, mask in enumerate(self._masks):
-                    if (bits & mask).bit_count() != want:
-                        bad[node] = m
-                        break
-            if bad:
-                first = min(bad)
-                counted = sum(node <= first for node in new)
-                witness = _witness(self.rule, level, int.from_bytes(first, "big"), bad[first], want)
+        # a node already expanded passed its check at an earlier level
+        found = first_violator(new, self._masks) if self._violation is None else None
+        if found is not None:
+            counted, bits, m, actual = found
+            # an interior label must carry d**2 RMTs
+            witness = _witness(self.rule.d, level, bits, m, self.rule.d ** 2, actual)
         if expanded + counted > self.node_budget:
             raise ResourceLimitError(
                 f"more than {self.node_budget} distinct tree nodes; "
@@ -269,7 +253,7 @@ class FrontierClosure:
         key = self._level_index(level)
         if key not in self._tails:
             lanes = map(self._lane.__getitem__, self._frontiers[key])
-            self._tails[key] = _check_tail(self.rule, self._masks, lanes)
+            self._tails[key] = ring_closing_violation(self.rule.d, self._masks, lanes)
         return self._tails[key]
 
 
@@ -286,44 +270,6 @@ def frontier_closure(rule: Rule, node_budget: int | None = None) -> FrontierClos
         del closure
         raise exc.with_traceback(None)
     return closure
-
-
-def _check_tail(rule: Rule, masks: tuple[int, ...], frontier: Iterable[bytes]) -> tuple | None:
-    """Check the three final edge levels from the level-(n-3) frontier,
-    applying the two ring-closing filters. Depends only on the frontier.
-
-    Depth first, each distinct child once per offset; the first failure is
-    returned as (offset from level n-3, edge state, expected total, node
-    bits).
-    """
-    d = rule.d
-    wants = tuple(expected_edge_total(offset, 3, d) for offset in range(3))
-    filters = tuple(class_filter(d, node_class) for node_class in _TAIL_CLASSES)
-    seen: tuple[set[int], set[int]] = (set(), set())
-
-    def walk(nodes: Iterable[int], offset: int) -> tuple | None:
-        want = wants[offset]
-        for bits in nodes:
-            children = successors(d, bits, masks) if offset < 2 else None
-            for m, mask in enumerate(masks):
-                if (bits & mask).bit_count() != want:
-                    return offset, m, want, bits
-                if children is None:
-                    continue
-                nxt = children[m] & filters[offset]
-                if nxt in seen[offset]:
-                    continue
-                seen[offset].add(nxt)
-                found = walk((nxt,), offset + 1)
-                if found is not None:
-                    return found
-        return None
-
-    # the walk usually stops within a few nodes: pop them in order from a
-    # heap rather than sort the whole frontier
-    heap = list(frontier)
-    heapify(heap)
-    return walk((int.from_bytes(heappop(heap), "big") for _ in range(len(heap))), 0)
 
 
 def _unbalanced_witness(rule: Rule) -> Witness:
@@ -343,14 +289,13 @@ def decide(
     """Decide reversibility of the n-cell CA under ``rule``."""
     if n < 3:
         raise ValueError(f"cell count must be >= 3, got {n}")
+    if closure is None:
+        # the closure reads and checks the budget, for every rule
+        return decide_range(rule, n, n, node_budget)[n]
     if node_budget is not None:
-        if closure is not None:
-            raise ValueError("pass a closure or a node_budget, not both: a closure has its own")
-        read_budget(node_budget, _NODE_BUDGET_ENV, DEFAULT_NODE_BUDGET)
+        raise ValueError("pass a closure or a node_budget, not both: a closure has its own")
     if not is_balanced(rule):
         return Verdict(rule, n, False, _unbalanced_witness(rule), None, None, ())
-    if closure is None:
-        return decide_range(rule, n, n, node_budget)[n]
     if closure.rule is not rule and closure.rule != rule:
         raise ValueError("closure was built for a different rule")
 
@@ -358,8 +303,8 @@ def decide(
     if w is None:
         tail = closure._tail_violation(n - 3)
         if tail is not None:
-            offset, m, expected, bits = tail
-            w = _witness(rule, n - 3 + offset, bits, m, expected)
+            offset, m, expected, actual, bits = tail
+            w = _witness(rule.d, n - 3 + offset, bits, m, expected, actual)
     return Verdict(
         rule, n, w is None, w, closure.preperiod, closure.period, closure.frontier_sizes()
     )

@@ -64,13 +64,13 @@ def _successors(rule: Rule, n: int, budget: int | None) -> np.ndarray:
     size = d ** n
     table = np.asarray(rule.table, dtype=np.int64)
     configs = np.arange(size, dtype=np.int64)
-    # cell i is the digit with place value d**(n-1-i)
-    place = [d ** (n - 1 - i) for i in range(n)]
-    digit = lambda i: (configs // place[i % n]) % d
+    # cell i has place value d**(n-1-i); ``ext`` appends the ring's first two
+    # cells, so window i is the three digits of ``ext`` from d**(n-1-i) up
+    ext = configs * (d * d) + configs // d ** (n - 2)
     succ = np.zeros(size, dtype=np.int64)
     for i in range(n):
-        rmt = digit(i) * (d * d) + digit(i + 1) * d + digit(i + 2)
-        succ += table[rmt] * place[i]
+        place = d ** (n - 1 - i)
+        succ += table[ext // place % d ** 3] * place
     return succ
 
 

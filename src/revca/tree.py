@@ -38,7 +38,9 @@ works on one node or on many packed side by side, each in a lane of
 mix. Only this module packs: ``expand_lanes`` calls the kernel on chunks
 of ``_CHUNK_BYTES``. The decider interns each node once by its lane, the
 fixed-width big-endian bytes of ``bits``; bytes order equals ``bits``
-order, so sorting either picks the same witness.
+order, so sorting either picks the same witness. This module makes every
+edge-label check too (``first_violator``, ``ring_closing_violation``);
+the decider only sequences node ids and frontiers.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappop
 from struct import Struct
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -233,19 +236,69 @@ def expand_lanes(d: int, nodes: Sequence[bytes], masks: Sequence[int]) -> Iterat
         yield [unpack(c.to_bytes(size, "big")) for c in successors(d, packed, masks)]
 
 
-def class_filter(d: int, node_class: NodeClass) -> int:
-    """The packed mask ``child`` ANDs into a node of ``node_class``."""
-    if node_class is NodeClass.SECOND_LAST:
-        return _layout(d).second_last
-    if node_class is NodeClass.LAST:
-        return _layout(d).last
-    return -1
+def first_violator(nodes: Sequence[bytes], masks: Sequence[int]) -> tuple[int, int, int, int] | None:
+    """The least lane of ``nodes`` in bytes order whose label under one of
+    ``masks`` (``label_masks``) is not of d**2 RMTs, as (lanes up to and
+    including it, its bits, edge state, RMT count); None if all pass."""
+    want = expected_edge_total(0, 3, len(masks))
+    bad = {}
+    for node in nodes:
+        bits = int.from_bytes(node, "big")
+        for m, mask in enumerate(masks):
+            if (bits & mask).bit_count() != want:
+                bad[node] = m
+                break
+    if not bad:
+        return None
+    first = min(bad)
+    bits, m = int.from_bytes(first, "big"), bad[first]
+    return sum(node <= first for node in nodes), bits, m, (bits & masks[m]).bit_count()
+
+
+def ring_closing_violation(d: int, masks: Sequence[int], frontier: Iterable[bytes]) -> tuple | None:
+    """The first failed label of the three final edge levels, walking
+    ``frontier``, the lanes of the level-(n-3) frontier, through the two
+    ring-closing filters depth first, each distinct child once per offset:
+    (offset from level n-3, edge state, expected total, actual total, node
+    bits), or None."""
+    layout = _layout(d)
+    wants = tuple(expected_edge_total(offset, 3, d) for offset in range(3))
+    filters = (layout.second_last, layout.last)
+    seen: tuple[set[int], set[int]] = (set(), set())
+
+    def walk(nodes: Iterable[int], offset: int) -> tuple | None:
+        want = wants[offset]
+        for bits in nodes:
+            children = successors(d, bits, masks) if offset < 2 else None
+            for m, mask in enumerate(masks):
+                if (bits & mask).bit_count() != want:
+                    return offset, m, want, (bits & mask).bit_count(), bits
+                if children is None:
+                    continue
+                nxt = children[m] & filters[offset]
+                if nxt in seen[offset]:
+                    continue
+                seen[offset].add(nxt)
+                found = walk((nxt,), offset + 1)
+                if found is not None:
+                    return found
+        return None
+
+    # the walk usually stops within a few nodes: pop them in order from a
+    # heap rather than sort the whole frontier
+    heap = list(frontier)
+    heapify(heap)
+    return walk((int.from_bytes(heappop(heap), "big") for _ in range(len(heap))), 0)
 
 
 def child(label: TreeNode, node_class: NodeClass) -> TreeNode:
     """Materialize the node an edge leads to, applying the class filter."""
     (f,) = successors(label.d, label.bits, (-1,))
-    return TreeNode(label.d, f & class_filter(label.d, node_class))
+    if node_class is NodeClass.SECOND_LAST:
+        f &= _layout(label.d).second_last
+    elif node_class is NodeClass.LAST:
+        f &= _layout(label.d).last
+    return TreeNode(label.d, f)
 
 
 def node_is_balanced(node: TreeNode, rule: Rule) -> bool:

@@ -264,6 +264,8 @@ def test_crashes_never_exit_1(capsys, monkeypatch, exc, code, line):
 
 CHECK_ARGS = ("check", "--states", "3", "--rule", "000111222000111222000111222", "--cells", "10")
 ORACLE_ARGS = ("oracle", "--states", "3", "--rule", FIG1_RULE, "--cells", "4")
+# rejected at the root, after the budget is read
+UNBALANCED_ARGS = ("check", "--states", "3", "--rule", "0" * 26 + "1")
 
 
 @pytest.mark.parametrize(
@@ -273,6 +275,8 @@ ORACLE_ARGS = ("oracle", "--states", "3", "--rule", FIG1_RULE, "--cells", "4")
         ("REVCA_NODE_BUDGET", "0", CHECK_ARGS),
         ("REVCA_NODE_BUDGET", "abc", CHECK_ARGS),
         ("REVCA_ORACLE_BUDGET", "-1", ORACLE_ARGS),
+        ("REVCA_NODE_BUDGET", "abc", (*UNBALANCED_ARGS, "--cells", "5")),
+        ("REVCA_NODE_BUDGET", "abc", (*UNBALANCED_ARGS, "--cells-range", "5:5")),
     ],
 )
 def test_bad_budget_env_is_usage_error(capsys, monkeypatch, env, value, argv):

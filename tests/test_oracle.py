@@ -1,10 +1,15 @@
 """Brute-force global map enumeration."""
 
+import itertools
+import random
+from collections import Counter
+
 import pytest
 
 from revca import ResourceLimitError, Rule, oracle_is_reversible, parse_rule
 from revca.evolution import step
 from revca.oracle import find_nonreachable
+from revca.strategies import random_balanced_rules
 
 FIG1_RULE = "201210210201210210201210210"
 FIG2_RULE = "201012210201012210201012210"
@@ -94,3 +99,25 @@ def test_image_size_bounds():
         s = oracle_is_reversible(rule, n)
         assert s.image_size <= 2 ** n
         assert (s.image_size == 2 ** n) == (s.max_indegree == 1)
+
+
+def _oracle_cases():
+    for table in itertools.product(range(2), repeat=8):
+        for n in range(3, 8):
+            yield Rule(2, table), n
+    rng = random.Random(7)
+    for d, ns in ((3, range(3, 7)), (4, (3, 4))):
+        unbalanced = [Rule(d, tuple(rng.randrange(d) for _ in range(d ** 3))) for _ in range(3)]
+        for rule in random_balanced_rules(d, 3, seed=d) + unbalanced:
+            for n in ns:
+                yield rule, n
+
+
+def test_oracle_agrees_with_step_on_every_ring():
+    for rule, n in _oracle_cases():
+        configs = list(itertools.product(range(rule.d), repeat=n))
+        images = Counter(step(rule, c) for c in configs)
+        summary = oracle_is_reversible(rule, n)
+        assert summary.image_size == len(images)
+        assert summary.max_indegree == max(images.values())
+        assert find_nonreachable(rule, n) == [c for c in configs if c not in images]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revca import NodeClass, Rule, child, edge_label, oracle_is_reversible, parse_rule
+from revca import FrontierClosure, NodeClass, Rule, child, edge_label, oracle_is_reversible, parse_rule
 from revca.oracle import find_nonreachable
 from revca.rules import sibl_set
 from revca.strategies import random_balanced_rules
@@ -15,11 +15,13 @@ from revca.tree import (
     _layout,
     expand_lanes,
     expected_edge_total,
+    first_violator,
     format_node,
     label_masks,
     lane_bytes,
     node_is_balanced,
     repeat_lanes,
+    ring_closing_violation,
     root,
     successors,
 )
@@ -171,6 +173,87 @@ def test_expand_lanes_crosses_the_chunk_boundary():
         alone = [successors(d, int.from_bytes(node, "big"), masks) for node in nodes]
         for i, column in enumerate(got):
             assert [int.from_bytes(lane, "big") for lane in column] == [kids[i] for kids in alone]
+
+
+def _shift_rule(d):
+    """f(x, y, z) = x: reversible at every n, so no edge label fails."""
+    return Rule(d, tuple(r // (d * d) for r in range(d ** 3)))
+
+
+def _frontier_lanes(rule, levels):
+    closure = FrontierClosure(rule)
+    nodes = {node for level in levels for node in closure.frontier_at(level)}
+    return [node.bits.to_bytes(lane_bytes(rule.d), "big") for node in nodes]
+
+
+def test_first_violator_matches_a_per_lane_walk():
+    rng = random.Random(21)
+    for d in range(2, 6):
+        shift = _shift_rule(d)
+        assert first_violator(_frontier_lanes(shift, range(4)), label_masks(shift)) is None
+        for rule in random_balanced_rules(d, 3, seed=20 + d):
+            drawn = [rng.getrandbits(d ** 5).to_bytes(lane_bytes(d), "big") for _ in range(3)]
+            nodes = list(dict.fromkeys(_frontier_lanes(rule, range(4)) + drawn))
+            rng.shuffle(nodes)
+            want = expected_edge_total(0, 3, d)
+            first = None
+            for lane in sorted(nodes):
+                node = TreeNode(d, int.from_bytes(lane, "big"))
+                counts = [edge_label(node, rule, m).total() for m in range(d)]
+                bad = [m for m in range(d) if counts[m] != want]
+                if bad:
+                    first = (sorted(nodes).index(lane) + 1, node.bits, bad[0], counts[bad[0]])
+                    break
+            assert first is not None
+            assert first_violator(nodes, label_masks(rule)) == first
+
+
+def _ring_closing_walk(rule, frontier):
+    """The first failed label of the last three edge levels, node by node
+    in bits order, depth first, each distinct child once per offset."""
+    d = rule.d
+    classes = (NodeClass.SECOND_LAST, NodeClass.LAST)
+    seen = (set(), set())
+
+    def walk(node, offset):
+        want = expected_edge_total(offset, 3, d)
+        for m in range(d):
+            label = edge_label(node, rule, m)
+            if label.total() != want:
+                return offset, m, want, label.total(), node.bits
+            if offset == 2:
+                continue
+            nxt = child(label, classes[offset])
+            if nxt in seen[offset]:
+                continue
+            seen[offset].add(nxt)
+            found = walk(nxt, offset + 1)
+            if found is not None:
+                return found
+        return None
+
+    for node in sorted(frontier, key=lambda node: node.bits):
+        found = walk(node, 0)
+        if found is not None:
+            return found
+    return None
+
+
+def test_ring_closing_violation_matches_a_node_walk():
+    outcomes = set()
+    for d in range(2, 6):
+        rules = [_shift_rule(d), *random_balanced_rules(d, 3, seed=30 + d)]
+        if d == 3:
+            rules.append(parse_rule("102221010102221010102221010", 3))  # reversible at odd n
+        for rule in rules:
+            closure = FrontierClosure(rule)
+            for level in range(5):
+                frontier = closure.frontier_at(level)
+                lanes = [node.bits.to_bytes(lane_bytes(d), "big") for node in frontier]
+                got = ring_closing_violation(d, label_masks(rule), lanes)
+                assert got == _ring_closing_walk(rule, frontier)
+                outcomes.add(got is None)
+    assert outcomes == {True, False}
 
 
 def test_empty_label_gives_empty_child():
