@@ -92,31 +92,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _witness_line(verdict) -> str:
-    if verdict.witness is None:
-        return ""
-    return f"  witness: {verdict.witness.detail}"
-
-
 def _cmd_check(args) -> int:
     rule = parse_rule(args.rule, args.states)
     if args.cells is not None:
         verdicts = {args.cells: decide(rule, args.cells)}
     else:
         verdicts = decide_range(rule, *args.cells_range)
-    if args.format == "json":
-        records = [v.to_dict() for v in verdicts.values()]
-        if args.cells is not None:
-            print(json.dumps(records[0]))
+    # the verdict, not how much of it a reader took, sets the exit code
+    code = 0 if all(v.reversible for v in verdicts.values()) else 1
+    try:
+        if args.format == "json":
+            records = [v.to_dict() for v in verdicts.values()]
+            if args.cells is not None:
+                print(json.dumps(records[0]))
+            else:
+                print(json.dumps({"schema": "revca/verdict-range:1", "results": records}))
         else:
-            print(json.dumps({"schema": "revca/verdict-range:1", "results": records}))
-    else:
-        for n, v in sorted(verdicts.items()):
-            print(f"n={n}: {'Reversible' if v.reversible else 'Irreversible'}")
-            line = _witness_line(v)
-            if line:
-                print(line)
-    return 0 if all(v.reversible for v in verdicts.values()) else 1
+            for n, v in sorted(verdicts.items()):
+                print(f"n={n}: {'Reversible' if v.reversible else 'Irreversible'}")
+                if v.witness is not None:
+                    print(f"  witness: {v.witness.detail}")
+    except BrokenPipeError:
+        pass
+    return code
 
 
 def _cmd_evolve(args) -> int:

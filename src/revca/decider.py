@@ -42,7 +42,7 @@ from itertools import chain, count, islice
 from typing import Mapping
 
 from .errors import ResourceLimitError, read_budget
-from .rules import Rule, format_rule, is_balanced
+from .rules import Rule, format_rule, is_balanced, validate_cell_count
 from .tree import (
     TreeNode,
     expand_lanes,
@@ -75,7 +75,7 @@ class Witness:
     node: TreeNode | None = None
 
 
-def _witness(d: int, level: int, bits: int, m: int, expected: int, actual: int) -> Witness:
+def _witness(d: int, level: int, m: int, expected: int, actual: int, bits: int) -> Witness:
     """The witness for the m-edge of the node ``bits`` at ``level``, which
     carries ``actual`` RMTs where ``expected`` are needed."""
     node = TreeNode(d, bits)
@@ -196,9 +196,8 @@ class FrontierClosure:
         # a node already expanded passed its check at an earlier level
         found = first_violator(new, self._masks) if self._violation is None else None
         if found is not None:
-            counted, bits, m, actual = found
-            # an interior label must carry d**2 RMTs
-            witness = _witness(self.rule.d, level, bits, m, self.rule.d ** 2, actual)
+            counted, *label = found
+            witness = _witness(self.rule.d, level, *label)
         if expanded + counted > self.node_budget:
             raise ResourceLimitError(
                 f"more than {self.node_budget} distinct tree nodes; "
@@ -287,8 +286,7 @@ def decide(
     node_budget: int | None = None,
 ) -> Verdict:
     """Decide reversibility of the n-cell CA under ``rule``."""
-    if n < 3:
-        raise ValueError(f"cell count must be >= 3, got {n}")
+    validate_cell_count(n)
     if closure is None:
         # the closure reads and checks the budget, for every rule
         return decide_range(rule, n, n, node_budget)[n]
@@ -303,8 +301,8 @@ def decide(
     if w is None:
         tail = closure._tail_violation(n - 3)
         if tail is not None:
-            offset, m, expected, actual, bits = tail
-            w = _witness(rule.d, n - 3 + offset, bits, m, expected, actual)
+            offset, *label = tail
+            w = _witness(rule.d, n - 3 + offset, *label)
     return Verdict(
         rule, n, w is None, w, closure.preperiod, closure.period, closure.frontier_sizes()
     )

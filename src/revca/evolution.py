@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import RuleFormatError
-from .rules import Rule, read_states, rmt_decompose
+from .rules import Rule, read_states, rmt_decompose, validate_cell_count
 
 Configuration = tuple[int, ...]
 
@@ -41,9 +41,7 @@ def format_configuration(cells: Configuration) -> str:
 
 def step(rule: Rule, cells: Configuration) -> Configuration:
     """One synchronous update of the ring."""
-    n = len(cells)
-    if n < 3:
-        raise ValueError("a ring needs at least 3 cells")
+    n = validate_cell_count(len(cells))
     d = rule.d
     table = rule.table
     for s in cells:
@@ -124,9 +122,7 @@ def step_on_graph(graph: DeBruijnGraph, cells: Configuration) -> Configuration:
     whose label extends the window by the next cell; the edge outputs form
     the next configuration. Must agree with :func:`step` everywhere.
     """
-    n = len(cells)
-    if n < 3:
-        raise ValueError("a ring needs at least 3 cells")
+    n = validate_cell_count(len(cells))
     d = graph.d
     out = []
     vertex = (cells[0], cells[1])

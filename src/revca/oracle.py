@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ResourceLimitError, read_budget
 from .evolution import Configuration
-from .rules import Rule, format_rule
+from .rules import Rule, format_rule, validate_cell_count
 
 DEFAULT_ORACLE_BUDGET = 10_000_000
 _ORACLE_BUDGET_ENV = "REVCA_ORACLE_BUDGET"
@@ -48,10 +48,9 @@ class GlobalMapSummary:
         }
 
 
-def _successors(rule: Rule, n: int, budget: int | None) -> np.ndarray:
-    """successors[u] = encoding of step(decode(u)), for all d**n rings."""
-    if n < 3:
-        raise ValueError(f"cell count must be >= 3, got {n}")
+def _preimage_counts(rule: Rule, n: int, budget: int | None) -> np.ndarray:
+    """counts[v] = number of preimages of ring v, for all d**n rings."""
+    validate_cell_count(n)
     d = rule.d
     limit = read_budget(budget, _ORACLE_BUDGET_ENV, DEFAULT_ORACLE_BUDGET)
     # d**n > limit whenever n > limit.bit_length(), since d >= 2; deciding
@@ -71,13 +70,12 @@ def _successors(rule: Rule, n: int, budget: int | None) -> np.ndarray:
     for i in range(n):
         place = d ** (n - 1 - i)
         succ += table[ext // place % d ** 3] * place
-    return succ
+    return np.bincount(succ, minlength=size)
 
 
 def oracle_is_reversible(rule: Rule, n: int, budget: int | None = None) -> GlobalMapSummary:
     """Exhaustively evaluate the global map and summarize its image."""
-    succ = _successors(rule, n, budget)
-    counts = np.bincount(succ, minlength=rule.d ** n)
+    counts = _preimage_counts(rule, n, budget)
     return GlobalMapSummary(
         rule=rule,
         n=n,
@@ -93,11 +91,7 @@ def find_nonreachable(
     ``limit`` of them when it is given."""
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    succ = _successors(rule, n, budget)
-    counts = np.bincount(succ, minlength=rule.d ** n)
-    missing = np.flatnonzero(counts == 0)
-    if limit is not None:
-        missing = missing[:limit]
+    missing = np.flatnonzero(_preimage_counts(rule, n, budget) == 0)[:limit]
     d = rule.d
     out = []
     for u in missing.tolist():

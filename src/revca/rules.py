@@ -39,6 +39,13 @@ def validate_state_count(d: int) -> int:
     return d
 
 
+def validate_cell_count(n: int) -> int:
+    """Check that ``n`` is a ring size: at least three cells, a window's width."""
+    if n < 3:
+        raise ValueError(f"cell count must be >= 3, got {n}")
+    return n
+
+
 def rmt_index(x: int, y: int, z: int, d: int) -> int:
     """Encode the neighborhood triple (x, y, z) as an RMT index."""
     for s in (x, y, z):

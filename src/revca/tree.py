@@ -52,7 +52,7 @@ from heapq import heapify, heappop
 from struct import Struct
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .rules import Rule, _equi_sets, _sibl_sets, validate_state_count
+from .rules import Rule, _equi_sets, _sibl_sets, validate_cell_count, validate_state_count
 
 
 class NodeClass(enum.Enum):
@@ -236,10 +236,11 @@ def expand_lanes(d: int, nodes: Sequence[bytes], masks: Sequence[int]) -> Iterat
         yield [unpack(c.to_bytes(size, "big")) for c in successors(d, packed, masks)]
 
 
-def first_violator(nodes: Sequence[bytes], masks: Sequence[int]) -> tuple[int, int, int, int] | None:
+def first_violator(nodes: Sequence[bytes], masks: Sequence[int]) -> tuple[int, int, int, int, int] | None:
     """The least lane of ``nodes`` in bytes order whose label under one of
-    ``masks`` (``label_masks``) is not of d**2 RMTs, as (lanes up to and
-    including it, its bits, edge state, RMT count); None if all pass."""
+    ``masks`` (``label_masks``) is not of d**2 RMTs, the interior total,
+    as (lanes up to and including it, edge state, expected total, actual
+    total, its bits); None if all pass."""
     want = expected_edge_total(0, 3, len(masks))
     bad = {}
     for node in nodes:
@@ -252,7 +253,7 @@ def first_violator(nodes: Sequence[bytes], masks: Sequence[int]) -> tuple[int, i
         return None
     first = min(bad)
     bits, m = int.from_bytes(first, "big"), bad[first]
-    return sum(node <= first for node in nodes), bits, m, (bits & masks[m]).bit_count()
+    return sum(node <= first for node in nodes), m, want, (bits & masks[m]).bit_count(), bits
 
 
 def ring_closing_violation(d: int, masks: Sequence[int], frontier: Iterable[bytes]) -> tuple | None:
@@ -310,8 +311,7 @@ def node_is_balanced(node: TreeNode, rule: Rule) -> bool:
 def expected_edge_total(level: int, n: int, d: int) -> int:
     """The RMT count a level-``level`` edge label must carry in a complete
     tree: d**2 up to level n-3, d at level n-2, 1 at level n-1."""
-    if n < 3:
-        raise ValueError("rings have at least 3 cells")
+    validate_cell_count(n)
     if not 0 <= level <= n - 1:
         raise ValueError(f"edge level {level} out of range [0, {n - 1}]")
     if level <= n - 3:

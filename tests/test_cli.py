@@ -164,6 +164,12 @@ def test_infinite_output(capsys):
     record = json.loads(out)
     assert record["injective"] is False
     assert record["witness"]["pairs"]
+    code, out, _ = run(capsys, "infinite", "--states", "3", "--rule", "102221010102221010102221010")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "injective: no"
+    assert lines[1].startswith("  witness cycle: ")
+    assert lines[2].startswith("  outputs: ")
 
 
 def test_dot_output(capsys):
@@ -197,6 +203,17 @@ def test_usage_errors_exit_2(capsys):
         )
         assert (code, out) == (2, "")
         assert err == "error: need 3 <= n_lo <= n_hi, got -3..4\n"
+    code, out, err = run(
+        capsys, "evolve", "--states", "2", "--rule", "11001100",
+        "--config", "0101", "--steps", "-1",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: steps must be >= 0\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--states", "3", "--rule", FIG1_RULE, "--cells-range", "5"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "expected LO:HI, got '5'" in err
 
 
 @pytest.mark.parametrize("digit", ["\u0661", "\uff11", "\u00b2"])
@@ -297,6 +314,18 @@ def test_budget_env_takes_ascii_digits_only(capsys, monkeypatch, env, argv, valu
     # surrounding whitespace is fine
     monkeypatch.setenv(env, " 100000 ")
     assert run(capsys, *argv)[0] == 0
+
+
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError
+
+
+@pytest.mark.parametrize("rule, code", [("01101001", 1), ("11110000", 0)])
+def test_check_keeps_its_verdict_under_a_closed_pipe(monkeypatch, rule, code):
+    # as `revca check ... | head -1` under pipefail
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    assert main(["check", "--states", "2", "--rule", rule, "--cells-range", "3:40"]) == code
 
 
 def test_argparse_usage_exit_code():

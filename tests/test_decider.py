@@ -20,6 +20,7 @@ from revca import (
     decide,
     decide_range,
     edge_label,
+    infinite_injective,
     oracle_is_reversible,
     parse_rule,
     sample_strategy,
@@ -417,6 +418,61 @@ def test_tree_matches_oracle_on_drawn_rules(rule):
         if w is not None and w.kind == "edge_total":
             assert edge_label(w.node, rule, w.edge_state).total() == w.actual != w.expected
         n += 1
+
+
+@st.composite
+def _symmetric_images(draw):
+    """A rule f, its conjugate p.f.p^-1, its output image s.f and its
+    mirror f(z, y, x), with a cell count beyond the oracle's reach."""
+    d = draw(st.integers(3, 6))
+    kind = draw(st.sampled_from(("balanced", "I", "II", "III")))
+    if kind == "balanced":
+        f = draw(st.permutations([r % d for r in range(d ** 3)]))
+    else:
+        f = rule_at(kind, d, draw(st.integers(0, strategy_family_size(kind, d) - 1))).table
+    p = draw(st.permutations(range(d)))
+    s = draw(st.permutations(range(d)))
+    triples = list(itertools.product(range(d), repeat=3))
+    conj = [0] * d ** 3
+    for x, y, z in triples:
+        conj[p[x] * d * d + p[y] * d + p[z]] = p[f[x * d * d + y * d + z]]
+    mirror = [f[z * d * d + y * d + x] for x, y, z in triples]
+    n = draw(st.one_of(st.integers(3, 12), st.sampled_from((10 ** 6, 10 ** 18))))
+    rules = (f, conj, [s[v] for v in f], mirror)
+    return tuple(Rule(d, tuple(t)) for t in rules), n
+
+
+def _decide_within(rule, n):
+    try:
+        return decide(rule, n, node_budget=2000)
+    except ResourceLimitError:
+        return None
+
+
+@settings(max_examples=30, deadline=None)
+@given(_symmetric_images())
+def test_symmetries_keep_the_verdict(images):
+    (f, conj, out, mirror), n = images
+    injective = infinite_injective(f).injective
+    assert [infinite_injective(r).injective for r in (conj, out, mirror)] == [injective] * 3
+    base, by_conj, by_out, by_mirror = [_decide_within(r, n) for r in (f, conj, out, mirror)]
+    # s.f has f's nodes, so it meets the budget exactly when f does; a
+    # conjugate or mirror checks its nodes in another order
+    assert (base is None) == (by_out is None)
+    if None in (base, by_conj, by_mirror):
+        return
+    assert by_mirror.reversible == base.reversible
+    w = base.witness
+    for v in (by_conj, by_out):
+        fields = (v.reversible, v.preperiod, v.period, v.frontier_sizes)
+        assert fields == (base.reversible, base.preperiod, base.period, base.frontier_sizes)
+        assert (v.witness is None) == (w is None)
+        if w is not None:
+            assert v.witness.kind == w.kind
+    # which node the ring-closing walk meets first depends on the order
+    if w is not None and w.level is not None and w.level < n - 3:
+        assert by_conj.witness.level == by_out.witness.level == w.level
+        assert by_out.witness.node == w.node
 
 
 def test_witnesses_are_pinned():

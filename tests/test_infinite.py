@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revca import Rule, decide, decide_range, infinite_injective, pair_graph, parse_rule
+from revca.evolution import step
 from revca.infinite import conjecture_experiment
 from revca.strategies import enumerate_strategy, rule_at, strategy_family_size
 
@@ -45,6 +46,12 @@ def _check_witness(rule, witness):
         # matched outputs
         assert rule[r1] == rule[r2] == witness.outputs[i]
     assert witness.left_rmts != witness.right_rmts
+    # the coordinates' cells, repeated to a ring, are two rings with one image
+    copies = -(-3 // length)
+    a = tuple(u1[0] for u1, _ in witness.pairs) * copies
+    b = tuple(u2[0] for _, u2 in witness.pairs) * copies
+    assert a != b
+    assert step(rule, a) == step(rule, b) == witness.outputs * copies
 
 
 def test_odd_only_rule_fails_injectivity_with_valid_witness():
@@ -63,6 +70,18 @@ def test_witnesses_are_pinned():
     records = [infinite_injective(rule).to_dict() for rule in rules]
     digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
     assert digest == "bccc1ba56df31067132e8e05da27c5a9dd8ba357b60a7cf2e05f2cc86de8dda4"
+
+
+def test_every_lattice_witness_is_a_collision_that_step_confirms():
+    rules = [Rule(2, bits) for bits in itertools.product(range(2), repeat=8)]
+    rules += enumerate_strategy("III", 3)
+    checked = 0
+    for rule in rules:
+        witness = infinite_injective(rule).witness
+        if witness is not None:
+            _check_witness(rule, witness)
+            checked += 1
+    assert checked
 
 
 def test_known_two_window_pair_is_on_a_matched_cycle():

@@ -202,7 +202,7 @@ def test_first_violator_matches_a_per_lane_walk():
                 counts = [edge_label(node, rule, m).total() for m in range(d)]
                 bad = [m for m in range(d) if counts[m] != want]
                 if bad:
-                    first = (sorted(nodes).index(lane) + 1, node.bits, bad[0], counts[bad[0]])
+                    first = (sorted(nodes).index(lane) + 1, bad[0], want, counts[bad[0]], node.bits)
                     break
             assert first is not None
             assert first_violator(nodes, label_masks(rule)) == first
@@ -391,10 +391,9 @@ def _reachable_by_tree(rule, n):
 def _reachable_by_oracle(rule, n):
     import numpy as np
 
-    from revca.oracle import _successors
+    from revca.oracle import _preimage_counts
 
-    succ = _successors(rule, n, None)
-    counts = np.bincount(succ, minlength=rule.d ** n)
+    counts = _preimage_counts(rule, n, None)
     reachable = set()
     for u in np.flatnonzero(counts > 0).tolist():
         cells = []
