@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from itertools import chain, count, islice
 from typing import Mapping
 
-from .errors import ResourceLimitError, read_budget
+from .errors import ResourceLimitError, as_integer, read_budget
 from .rules import Rule, format_rule, is_balanced, validate_cell_count
 from .tree import (
     TreeNode,
@@ -286,7 +286,7 @@ def decide(
     node_budget: int | None = None,
 ) -> Verdict:
     """Decide reversibility of the n-cell CA under ``rule``."""
-    validate_cell_count(n)
+    n = validate_cell_count(n)
     if closure is None:
         # the closure reads and checks the budget, for every rule
         return decide_range(rule, n, n, node_budget)[n]
@@ -315,6 +315,7 @@ def decide_range(
     node_budget: int | None = None,
 ) -> Mapping[int, Verdict]:
     """Decide every cell count in [n_lo, n_hi], sharing one closure."""
+    n_lo, n_hi = as_integer(n_lo, "cell count"), as_integer(n_hi, "cell count")
     if not 3 <= n_lo <= n_hi:
         raise ValueError(f"need 3 <= n_lo <= n_hi, got {n_lo}..{n_hi}")
     closure = FrontierClosure(rule, node_budget=node_budget)

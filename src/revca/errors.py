@@ -42,6 +42,17 @@ class ResourceLimitError(RuntimeError):
         self.budget = budget
 
 
+def as_integer(value, what: str) -> int:
+    """``value`` as a plain int: whatever ``operator.index`` takes, except a
+    bool. Anything else is a ValueError naming ``what``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def read_budget(override: int | None, env_var: str, default: int) -> int:
     """``override`` if given, else the value of ``env_var``, else
     ``default``. A given value that is not a positive integer (a bool is
@@ -52,10 +63,10 @@ def read_budget(override: int | None, env_var: str, default: int) -> int:
         return default
     try:
         if override is not None:
-            value = 0 if isinstance(raw, bool) else operator.index(raw)
+            value = as_integer(raw, "budget")
         else:
             value = int(raw) if _SIGNED_INT.fullmatch(raw.strip()) else 0
-    except (TypeError, ValueError):
+    except ValueError:
         value = 0
     if value < 1:
         name = env_var if override is None else "budget"

@@ -1,21 +1,24 @@
 """Injectivity of the global map on the unbounded lattice.
 
 Two distinct bi-infinite configurations with equal images trace a
-bi-infinite path through the *matched-output pair graph*: the product of
-the de Bruijn graph (``evolution.build_debruijn``) with itself, keeping
-the edge pairs that emit the same output symbol. Its vertices are ordered
-pairs of two-cell windows, with at most one edge between two of them, so
-a pair cycle's two coordinate label paths differ exactly when the cycle
-visits an off-diagonal pair. Divergent histories that reconverge (equal
-tails) also close into such a cycle because the de Bruijn graph is
-strongly connected. Hence:
+bi-infinite path through the *matched-output pair graph*: its vertices
+are ordered pairs of two-cell windows, and each edge takes one de Bruijn
+edge in each coordinate, the two emitting the same output symbol. With
+at most one edge between two vertices, a pair cycle's two coordinate
+label paths differ exactly when it visits an off-diagonal pair.
+Divergent histories that reconverge (equal tails) also close into such
+a cycle because the de Bruijn graph is strongly connected. Hence:
 
     the map is non-injective  iff  some off-diagonal pair lies on a cycle,
 
 and looping that cycle yields two distinct spatially periodic
-configurations with the same image -- the returned witness. The cycles
-are sought per strongly connected component; two plain traversals list
-the components in the order Tarjan's algorithm emits them.
+configurations with the same image -- the returned witness.
+
+The graph is built and searched on ints: window (a, b) is w = a*d + b and
+pair (w1, w2) is v = w1*d**2 + w2, so int order is the pairs' lexicographic
+order. The edges leaving window w are the RMTs r in Sibl(w), each ending
+at window r mod d**2, so ``rule.table`` alone gives the adjacency. Pairs
+are decoded only for the witness and for ``pair_graph``, a decoded view.
 
 Theorem: a rule injective on the lattice is reversible on the n-cell ring
 for every n >= 3. Two distinct n-rings with one image, each repeated with
@@ -28,29 +31,39 @@ infinitely many, without being injective on the lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .decider import Verdict, decide_range
-from .evolution import build_debruijn
+from .decider import decide_range
 from .rules import Rule, format_rule
 
-Window = tuple[int, int]
-Pair = tuple[Window, Window]
+Pair = tuple[tuple[int, int], tuple[int, int]]  # two windows
+
+
+def _pair_adjacency(rule: Rule) -> list[list[int]]:
+    """Out-edges of every pair vertex v = w1*d**2 + w2, in vertex order:
+    (r1 % d**2)*d**2 + r2 % d**2 over r1 in Sibl(w1), r2 in Sibl(w2), r1
+    outer, keeping the RMT pairs with equal next states."""
+    d, table = rule.d, rule.table
+    dd = d * d
+    out = [[(r % dd, table[r]) for r in range(w * d, w * d + d)] for w in range(dd)]
+    return [
+        [x1 * dd + x2 for x1, m1 in out1 for x2, m2 in out2 if m1 == m2]
+        for out1 in out
+        for out2 in out
+    ]
+
+
+def _pair(v: int, d: int) -> Pair:
+    w1, w2 = divmod(v, d * d)
+    return divmod(w1, d), divmod(w2, d)
 
 
 def pair_graph(rule: Rule) -> dict[Pair, tuple[Pair, ...]]:
-    """Adjacency of the matched-output pair graph: the product of
-    ``build_debruijn(rule)`` with itself, keeping the edge pairs whose
-    outputs agree. Keys run over (w1, w2), out-edges over (c1, c2)."""
-    graph = build_debruijn(rule)
-    d = rule.d
-    out_edges = [graph.edges[w * d : (w + 1) * d] for w in range(d * d)]
-    by_vertex = list(zip(graph.vertices, out_edges))
-    return {
-        (u1, u2): tuple((e1.dst, e2.dst) for e1 in out1 for e2 in out2 if e1.output == e2.output)
-        for u1, out1 in by_vertex
-        for u2, out2 in by_vertex
-    }
+    """The matched-output pair graph, decoded: keys run over (w1, w2) in
+    lexicographic order, out-edges over the two edges' third cells (c1, c2)."""
+    pairs = [_pair(v, rule.d) for v in range(rule.d ** 4)]
+    adj = _pair_adjacency(rule)
+    return {pairs[v]: tuple(pairs[u] for u in outs) for v, outs in enumerate(adj)}
 
 
 @dataclass(frozen=True)
@@ -75,76 +88,74 @@ class InjectivityResult:
     witness: InjectivityWitness | None
 
     def to_dict(self) -> dict:
-        w = None
-        if self.witness is not None:
-            w = {
-                "pairs": [[list(a), list(b)] for a, b in self.witness.pairs],
-                "left_rmts": list(self.witness.left_rmts),
-                "right_rmts": list(self.witness.right_rmts),
-                "outputs": list(self.witness.outputs),
-            }
+        w = self.witness
         return {
             "schema": "revca/injectivity:1",
             "rule": format_rule(self.rule),
             "d": self.rule.d,
             "injective": self.injective,
-            "witness": w,
+            "witness": None if w is None else {
+                "pairs": [[list(a), list(b)] for a, b in w.pairs],
+                "left_rmts": list(w.left_rmts),
+                "right_rmts": list(w.right_rmts),
+                "outputs": list(w.outputs),
+            },
         }
 
 
-def _sccs(adj: Mapping[Pair, tuple[Pair, ...]]) -> list[list[Pair]]:
+def _sccs(adj: Sequence[Sequence[int]]) -> list[list[int]]:
     """Strongly connected components in the order Tarjan's algorithm emits
-    them from ``sorted(adj)`` (reverse topological), by two traversals.
+    them from vertex 0 up (reverse topological), by two traversals.
     Pass 1 is Tarjan's depth-first search and records finishing order. A
     component's root, its first-discovered vertex, finishes last in it, and
     Tarjan emits a component when its root finishes. Pass 2 meets the roots
     in decreasing finishing order and collects each component along
     reversed edges, so its list reversed is Tarjan's."""
-    finished: list[Pair] = []
-    seen: set[Pair] = set()
-    work = [(None, iter(sorted(adj)))]  # a virtual root above every vertex
+    finished: list[int] = []
+    seen = [False] * len(adj)
+    work = [(-1, iter(range(len(adj))))]  # a virtual root above every vertex
     while work:
         v, it = work[-1]
         for u in it:
-            if u not in seen:
-                seen.add(u)
+            if not seen[u]:
+                seen[u] = True
                 work.append((u, iter(adj[u])))
                 break
         else:
             work.pop()
             finished.append(v)
     finished.pop()  # the virtual root
-    reverse: dict[Pair, list[Pair]] = {v: [] for v in adj}
-    for v, outs in adj.items():
+    reverse: list[list[int]] = [[] for _ in adj]
+    for v, outs in enumerate(adj):
         for u in outs:
             reverse[u].append(v)
-    sccs: list[list[Pair]] = []
-    assigned: set[Pair] = set()
+    sccs: list[list[int]] = []
+    assigned = [False] * len(adj)
     for root in reversed(finished):
-        if root in assigned:
+        if assigned[root]:
             continue
-        assigned.add(root)
+        assigned[root] = True
         comp = [root]
         for v in comp:  # grows while it is walked
             for u in reverse[v]:
-                if u not in assigned:
-                    assigned.add(u)
+                if not assigned[u]:
+                    assigned[u] = True
                     comp.append(u)
         sccs.append(comp)
     return sccs[::-1]
 
 
-def _cycle_through(v: Pair, adj: Mapping[Pair, tuple[Pair, ...]]) -> list[Pair]:
+def _cycle_through(v: int, adj: Sequence[Sequence[int]]) -> list[int]:
     """Shortest cycle through v (v on a cycle) as [successor of v, ..., v]:
-    each pair steps to the next, v back to the first. A search that leaves
+    each vertex steps to the next, v back to the first. A search that leaves
     v's strongly connected component never returns, so the cycle stays in it."""
-    parent: dict[Pair, Pair] = {}
+    parent = [-1] * len(adj)
     frontier = [v]
-    while frontier and v not in parent:
+    while frontier and parent[v] < 0:
         nxt = []
         for u in frontier:
             for w in adj[u]:
-                if w not in parent:
+                if parent[w] < 0:
                     parent[w] = u
                     nxt.append(w)
         frontier = nxt
@@ -154,31 +165,27 @@ def _cycle_through(v: Pair, adj: Mapping[Pair, tuple[Pair, ...]]) -> list[Pair]:
     return path[::-1]
 
 
-def _decorate(rule: Rule, cycle: Sequence[Pair]) -> InjectivityWitness:
+def _decorate(rule: Rule, cycle: Sequence[int]) -> InjectivityWitness:
+    """Pair v stepping to u reads, in each coordinate, the RMT (v's window)*d
+    + (the last cell of u's window)."""
     d = rule.d
-    left_rmts, right_rmts, outputs = [], [], []
-    for i, (u1, u2) in enumerate(cycle):
-        v1, v2 = cycle[(i + 1) % len(cycle)]
-        r1 = u1[0] * d * d + u1[1] * d + v1[1]
-        r2 = u2[0] * d * d + u2[1] * d + v2[1]
-        left_rmts.append(r1)
-        right_rmts.append(r2)
-        outputs.append(rule.table[r1])
-    return InjectivityWitness(tuple(cycle), tuple(left_rmts), tuple(right_rmts), tuple(outputs))
+    dd = d * d
+    steps = list(zip(cycle, [*cycle[1:], cycle[0]]))
+    left = tuple(v // dd * d + u // dd % d for v, u in steps)
+    right = tuple(v % dd * d + u % d for v, u in steps)
+    pairs = tuple(_pair(v, d) for v in cycle)
+    return InjectivityWitness(pairs, left, right, tuple(rule.table[r] for r in left))
 
 
 def infinite_injective(rule: Rule) -> InjectivityResult:
     """Test injectivity of the rule's global map on the unbounded lattice."""
-    adj = pair_graph(rule)
+    dd = rule.d * rule.d
+    adj = _pair_adjacency(rule)
     for comp in _sccs(adj):
-        cyclic = len(comp) > 1 or comp[0] in adj[comp[0]]
-        if not cyclic:
-            continue
-        off_diagonal = [v for v in sorted(comp) if v[0] != v[1]]
-        if not off_diagonal:
-            continue
-        cycle = _cycle_through(off_diagonal[0], adj)
-        return InjectivityResult(rule, False, _decorate(rule, cycle))
+        off_diagonal = [v for v in comp if v // dd != v % dd]
+        if off_diagonal and (len(comp) > 1 or comp[0] in adj[comp[0]]):  # on a cycle
+            cycle = _cycle_through(min(off_diagonal), adj)
+            return InjectivityResult(rule, False, _decorate(rule, cycle))
     return InjectivityResult(rule, True, None)
 
 
@@ -231,20 +238,12 @@ class ConjectureReport:
         }
 
 
-def conjecture_experiment(
-    d: int, rules: Iterable[Rule], n_lo: int, n_hi: int
-) -> ConjectureReport:
+def conjecture_experiment(d: int, rules: Iterable[Rule], n_lo: int, n_hi: int) -> ConjectureReport:
     """Cross 'injective on the unbounded lattice' with per-n ring verdicts."""
     rows = []
     for rule in rules:
         if rule.d != d:
             raise ValueError(f"rule {format_rule(rule)} is not a {d}-state rule")
-        verdicts: Mapping[int, Verdict] = decide_range(rule, n_lo, n_hi)
-        rows.append(
-            RuleExperiment(
-                rule,
-                infinite_injective(rule).injective,
-                {n: v.reversible for n, v in verdicts.items()},
-            )
-        )
+        verdicts = {n: v.reversible for n, v in decide_range(rule, n_lo, n_hi).items()}
+        rows.append(RuleExperiment(rule, infinite_injective(rule).injective, verdicts))
     return ConjectureReport(d, n_lo, n_hi, tuple(rows))

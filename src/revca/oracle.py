@@ -49,8 +49,8 @@ class GlobalMapSummary:
 
 
 def _preimage_counts(rule: Rule, n: int, budget: int | None) -> np.ndarray:
-    """counts[v] = number of preimages of ring v, for all d**n rings."""
-    validate_cell_count(n)
+    """counts[v] = number of preimages of ring v, for all d**n rings; ``n``
+    is a checked cell count."""
     d = rule.d
     limit = read_budget(budget, _ORACLE_BUDGET_ENV, DEFAULT_ORACLE_BUDGET)
     # d**n > limit whenever n > limit.bit_length(), since d >= 2; deciding
@@ -75,6 +75,7 @@ def _preimage_counts(rule: Rule, n: int, budget: int | None) -> np.ndarray:
 
 def oracle_is_reversible(rule: Rule, n: int, budget: int | None = None) -> GlobalMapSummary:
     """Exhaustively evaluate the global map and summarize its image."""
+    n = validate_cell_count(n)
     counts = _preimage_counts(rule, n, budget)
     return GlobalMapSummary(
         rule=rule,
@@ -89,6 +90,7 @@ def find_nonreachable(
 ) -> list[Configuration]:
     """Configurations with no predecessor, in lexicographic order; at most
     ``limit`` of them when it is given."""
+    n = validate_cell_count(n)
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     missing = np.flatnonzero(_preimage_counts(rule, n, budget) == 0)[:limit]

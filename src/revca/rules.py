@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import _SIGNED_INT, RuleFormatError
+from .errors import _SIGNED_INT, RuleFormatError, as_integer
 
 #: Hard cap on states per cell. d = 6 already means rule tables of
 #: 216 entries and strategy families of size (6!)^36; anything larger is
@@ -40,7 +40,9 @@ def validate_state_count(d: int) -> int:
 
 
 def validate_cell_count(n: int) -> int:
-    """Check that ``n`` is a ring size: at least three cells, a window's width."""
+    """``n`` as a plain int if it is a ring size: an integer (not a bool) of
+    at least three cells, a window's width."""
+    n = as_integer(n, "cell count")
     if n < 3:
         raise ValueError(f"cell count must be >= 3, got {n}")
     return n
@@ -102,7 +104,7 @@ class Rule:
 
     def __post_init__(self):
         validate_state_count(self.d)
-        table = tuple(self.table)
+        table = tuple(as_integer(v, "table entry") for v in self.table)
         if len(table) != self.d ** 3:
             raise ValueError(
                 f"rule table must have {self.d ** 3} entries, got {len(table)}"

@@ -311,7 +311,7 @@ def node_is_balanced(node: TreeNode, rule: Rule) -> bool:
 def expected_edge_total(level: int, n: int, d: int) -> int:
     """The RMT count a level-``level`` edge label must carry in a complete
     tree: d**2 up to level n-3, d at level n-2, 1 at level n-1."""
-    validate_cell_count(n)
+    n = validate_cell_count(n)
     if not 0 <= level <= n - 1:
         raise ValueError(f"edge level {level} out of range [0, {n - 1}]")
     if level <= n - 3:

@@ -7,6 +7,7 @@ import itertools
 import json
 import traceback
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -233,6 +234,23 @@ def test_decide_range_rejects_bad_bounds():
         decide_range(rule, 2, 5)
     with pytest.raises(ValueError):
         decide_range(rule, 8, 5)
+
+
+def test_cell_counts_must_be_integers():
+    rule = parse_rule(FIG1_RULE, 3)
+    for call in (
+        lambda: decide(rule, 4.0),
+        lambda: decide(rule, True),
+        lambda: decide_range(rule, 3, 5.0),
+        lambda: decide_range(rule, 3.0, 5),
+        lambda: oracle_is_reversible(rule, 4.0),
+        lambda: expected_edge_total(0, 4.0, 3),
+    ):
+        with pytest.raises(ValueError, match="cell count must be an integer"):
+            call()
+    verdict = decide(rule, numpy.int64(5))
+    assert type(verdict.n) is int and verdict == decide(rule, 5)
+    assert type(oracle_is_reversible(rule, numpy.int64(4)).n) is int
 
 
 def test_large_n_uses_closure_jump():

@@ -3,15 +3,22 @@
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revca import Rule, decide, decide_range, infinite_injective, pair_graph, parse_rule
-from revca.evolution import step
+from revca.evolution import build_debruijn, step
 from revca.infinite import conjecture_experiment
-from revca.strategies import enumerate_strategy, rule_at, strategy_family_size
+from revca.strategies import (
+    enumerate_strategy,
+    random_balanced_rules,
+    rule_at,
+    sample_strategy,
+    strategy_family_size,
+)
 
 FIG1_RULE = "201210210201210210201210210"
 ODD_ONLY_RULE = "102221010102221010102221010"
@@ -72,6 +79,24 @@ def test_witnesses_are_pinned():
     assert digest == "bccc1ba56df31067132e8e05da27c5a9dd8ba357b60a7cf2e05f2cc86de8dda4"
 
 
+def test_witnesses_are_pinned_at_four_to_six_states():
+    rules = [rule_at("III", 4, 288044), rule_at("III", 4, 142474)]  # injective
+    for d in (4, 5, 6):
+        for i, strategy in enumerate(("I", "II", "III")):
+            rules += sample_strategy(strategy, d, 4, seed=10 * d + i)
+        rules += random_balanced_rules(d, 4, seed=10 * d + 3)
+        perm = random.Random(d).sample(range(d), d)  # injective: a permuted centre cell
+        rules.append(Rule(d, tuple(perm[r // d % d] for r in range(d ** 3))))
+    results = [infinite_injective(rule) for rule in rules]
+    assert sum(r.injective for r in results) == 5
+    for rule, result in zip(rules, results):
+        if result.witness is not None:
+            _check_witness(rule, result.witness)
+    records = [r.to_dict() for r in results]
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == "1dbd757d71b7045bfb1ceb9e40677a8983c199640bc2f4d9960ba175ad5c127b"
+
+
 def test_every_lattice_witness_is_a_collision_that_step_confirms():
     rules = [Rule(2, bits) for bits in itertools.product(range(2), repeat=8)]
     rules += enumerate_strategy("III", 3)
@@ -107,8 +132,6 @@ def test_three_cell_sum_mod2_not_injective_but_finitely_reversible():
 
 
 def test_pair_graph_is_swap_symmetric():
-    import random
-
     rng = random.Random(2)
     for _ in range(10):
         d = rng.choice((2, 3))
@@ -117,6 +140,31 @@ def test_pair_graph_is_swap_symmetric():
         for (u, v), outs in adj.items():
             mirrored = {(b, a) for (a, b) in outs}
             assert mirrored == set(adj[(v, u)])
+
+
+def _debruijn_product(rule):
+    """The matched-output pair graph as the product of the de Bruijn graph
+    with itself, keeping the edge pairs whose outputs agree."""
+    graph = build_debruijn(rule)
+    d = rule.d
+    out_edges = [graph.edges[w * d : (w + 1) * d] for w in range(d * d)]
+    by_vertex = list(zip(graph.vertices, out_edges))
+    return {
+        (u1, u2): tuple((e1.dst, e2.dst) for e1 in out1 for e2 in out2 if e1.output == e2.output)
+        for u1, out1 in by_vertex
+        for u2, out2 in by_vertex
+    }
+
+
+def test_pair_graph_is_the_debruijn_product():
+    rules = [Rule(2, bits) for bits in itertools.product(range(2), repeat=8)]
+    rng = random.Random(5)
+    for d in (3, 4, 5, 6):
+        rules += [Rule(d, tuple(rng.randrange(d) for _ in range(d ** 3))) for _ in range(3)]
+        rules += sample_strategy("I", d, 2, seed=d)
+    for rule in rules:
+        got, want = pair_graph(rule), _debruijn_product(rule)
+        assert list(got.items()) == list(want.items()), rule.table
 
 
 def test_pair_graph_shape():

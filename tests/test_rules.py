@@ -3,6 +3,7 @@
 import collections
 import random
 
+import numpy
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -167,6 +168,17 @@ def test_rule_validation():
         Rule(2, tuple([2] * 8))  # entry out of range
     with pytest.raises(ValueError):
         parse_rule("00000000", 1)
+
+
+def test_rule_table_entries_must_be_integers():
+    # a bool entry would print as "FalseTrue..." in every rule field
+    for table in ((True, False) * 4, (1.0, 0) * 4, ("1", "0") * 4):
+        with pytest.raises(ValueError, match="table entry must be an integer"):
+            Rule(2, table)
+    rule = Rule(2, tuple(numpy.int64(v) for v in (1, 0) * 4))
+    assert all(type(v) is int for v in rule.table)
+    assert rule == Rule(2, (1, 0) * 4)
+    assert format_rule(rule) == "01010101"
 
 
 def test_rule_next_state_and_masks():
