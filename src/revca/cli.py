@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from typing import Sequence
 
 from .decider import decide, decide_range
@@ -191,23 +192,27 @@ def main(argv: Sequence[str] | None = None) -> int:
         if len(arg) > len("--cells") and "--cells-range".startswith(arg) and ":" in argv[i + 1]:
             argv[i : i + 2] = [f"--cells-range={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
-    try:
-        return _COMMANDS[args.command](args)
-    except (RuleFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return RESOURCE_ERROR
-    except MemoryError as exc:
-        print(f"resource limit: out of memory: {exc}", file=sys.stderr)
-        return RESOURCE_ERROR
-    except BrokenPipeError:
-        return 0
-    except Exception as exc:
-        message = " ".join(str(exc).splitlines())
-        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
-        return INTERNAL_ERROR
+    with warnings.catch_warnings():
+        # a library warning is one stderr line, never an error or a traceback
+        warnings.simplefilter("default")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return _COMMANDS[args.command](args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
+        except ResourceLimitError as exc:
+            print(f"resource limit: {exc}", file=sys.stderr)
+            return RESOURCE_ERROR
+        except MemoryError as exc:
+            print(f"resource limit: out of memory: {exc}", file=sys.stderr)
+            return RESOURCE_ERROR
+        except BrokenPipeError:
+            return 0
+        except Exception as exc:
+            message = " ".join(str(exc).splitlines())
+            print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+            return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

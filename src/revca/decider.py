@@ -235,8 +235,7 @@ class FrontierClosure:
 
     def _level_index(self, level: int) -> int:
         """The materialized level holding the frontier of ``level``."""
-        if level < 0:
-            raise ValueError(f"level must be >= 0, got {level}")
+        level = as_integer(level, "level", 0)
         while level >= len(self._frontiers) and not self.closed:
             self._advance()
         if level < len(self._frontiers):

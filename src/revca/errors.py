@@ -1,4 +1,4 @@
-"""Exception types, resource budgets and the integer syntax shared
+"""Exception types, resource budgets and the integer checks shared
 across the package."""
 
 import operator
@@ -42,33 +42,33 @@ class ResourceLimitError(RuntimeError):
         self.budget = budget
 
 
-def as_integer(value, what: str) -> int:
+def as_integer(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
     """``value`` as a plain int: whatever ``operator.index`` takes, except a
-    bool. Anything else is a ValueError naming ``what``."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{what} must be an integer, got {value!r}")
+    bool, and at least ``lo`` and at most ``hi`` where given (``hi`` only with
+    ``lo``). Anything else is a ValueError naming ``what``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        v = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if hi is not None and not lo <= v <= hi:
+        raise ValueError(f"{what} must be in [{lo}, {hi}], got {v}")
+    if lo is not None and v < lo:
+        raise ValueError(f"{what} must be >= {lo}, got {v}")
+    return v
 
 
 def read_budget(override: int | None, env_var: str, default: int) -> int:
-    """``override`` if given, else the value of ``env_var``, else
-    ``default``. A given value that is not a positive integer (a bool is
-    not; in the environment: ASCII digits, surrounding whitespace allowed)
-    is a ValueError."""
-    raw = os.environ.get(env_var) if override is None else override
+    """``override`` (an integer >= 1) if given, else the value of ``env_var``
+    (a positive integer in ASCII digits, whitespace around it allowed),
+    else ``default``. Anything else is a ValueError."""
+    if override is not None:
+        return as_integer(override, "budget", 1)
+    raw = os.environ.get(env_var)
     if raw is None:
         return default
-    try:
-        if override is not None:
-            value = as_integer(raw, "budget")
-        else:
-            value = int(raw) if _SIGNED_INT.fullmatch(raw.strip()) else 0
-    except ValueError:
-        value = 0
+    value = int(raw) if _SIGNED_INT.fullmatch(raw.strip()) else 0
     if value < 1:
-        name = env_var if override is None else "budget"
-        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
+        raise ValueError(f"{env_var} must be a positive integer, got {raw!r}")
     return value

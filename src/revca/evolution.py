@@ -16,14 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import RuleFormatError
-from .rules import Rule, read_states, rmt_decompose, validate_cell_count
+from .errors import RuleFormatError, as_integer
+from .rules import Rule, read_states, rmt_decompose, validate_cell_count, validate_state_count
 
 Configuration = tuple[int, ...]
 
 
 def parse_configuration(text: str, d: int) -> Configuration:
     """Parse a digit string (or comma-separated ints) into a ring of cells."""
+    d = validate_state_count(d)
     text = text.strip()
     comma = "," in text
     cells = tuple(read_states([p.strip() for p in text.split(",")] if comma else text, comma))
@@ -44,9 +45,7 @@ def step(rule: Rule, cells: Configuration) -> Configuration:
     n = validate_cell_count(len(cells))
     d = rule.d
     table = rule.table
-    for s in cells:
-        if not 0 <= s < d:
-            raise ValueError(f"cell state {s} out of range [0, {d})")
+    cells = tuple(as_integer(s, "cell state", 0, d - 1) for s in cells)
     return tuple(
         table[cells[i] * d * d + cells[(i + 1) % n] * d + cells[(i + 2) % n]]
         for i in range(n)
@@ -69,8 +68,7 @@ class OrbitResult:
 
 def orbit(rule: Rule, cells: Configuration, t_max: int) -> OrbitResult:
     """Iterate ``step`` until the trajectory repeats or t_max steps elapse."""
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
+    t_max = as_integer(t_max, "t_max", 1)
     states = [tuple(cells)]
     seen = {states[0]: 0}
     for t in range(1, t_max + 1):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError, read_budget
+from .errors import ResourceLimitError, as_integer, read_budget
 from .evolution import Configuration
 from .rules import Rule, format_rule, validate_cell_count
 
@@ -91,8 +91,7 @@ def find_nonreachable(
     """Configurations with no predecessor, in lexicographic order; at most
     ``limit`` of them when it is given."""
     n = validate_cell_count(n)
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be >= 0, got {limit}")
+    limit = None if limit is None else as_integer(limit, "limit", 0)
     missing = np.flatnonzero(_preimage_counts(rule, n, budget) == 0)[:limit]
     d = rule.d
     out = []

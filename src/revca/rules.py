@@ -32,34 +32,26 @@ MAX_STATES = 6
 
 
 def validate_state_count(d: int) -> int:
-    if not isinstance(d, int) or isinstance(d, bool):
-        raise ValueError(f"state count must be an int, got {d!r}")
-    if d < 2 or d > MAX_STATES:
-        raise ValueError(f"state count must be in [2, {MAX_STATES}], got {d}")
-    return d
+    return as_integer(d, "state count", 2, MAX_STATES)
 
 
 def validate_cell_count(n: int) -> int:
     """``n`` as a plain int if it is a ring size: an integer (not a bool) of
     at least three cells, a window's width."""
-    n = as_integer(n, "cell count")
-    if n < 3:
-        raise ValueError(f"cell count must be >= 3, got {n}")
-    return n
+    return as_integer(n, "cell count", 3)
 
 
 def rmt_index(x: int, y: int, z: int, d: int) -> int:
     """Encode the neighborhood triple (x, y, z) as an RMT index."""
-    for s in (x, y, z):
-        if not 0 <= s < d:
-            raise ValueError(f"state {s} out of range [0, {d})")
+    d = validate_state_count(d)
+    x, y, z = (as_integer(s, "state", 0, d - 1) for s in (x, y, z))
     return x * d * d + y * d + z
 
 
 def rmt_decompose(r: int, d: int) -> tuple[int, int, int]:
     """Recover the neighborhood triple (x, y, z) from an RMT index."""
-    if not 0 <= r < d ** 3:
-        raise ValueError(f"RMT {r} out of range [0, {d ** 3})")
+    d = validate_state_count(d)
+    r = as_integer(r, "RMT", 0, d ** 3 - 1)
     return r // (d * d), (r // d) % d, r % d
 
 
@@ -78,19 +70,15 @@ def _sibl_sets(d: int) -> tuple[tuple[int, ...], ...]:
 
 def equi_set(i: int, d: int) -> tuple[int, ...]:
     """The d RMTs equivalent to RMT i (equal last two symbols), ascending."""
-    validate_state_count(d)
-    if not 0 <= i < d * d:
-        raise ValueError(f"equivalent-set index {i} out of range [0, {d * d})")
-    return _equi_sets(d)[i]
+    d = validate_state_count(d)
+    return _equi_sets(d)[as_integer(i, "equivalent-set index", 0, d * d - 1)]
 
 
 def sibl_set(j: int, d: int) -> tuple[int, ...]:
     """The d RMTs sibling to each other under index j (equal first two
     symbols), ascending."""
-    validate_state_count(d)
-    if not 0 <= j < d * d:
-        raise ValueError(f"sibling-set index {j} out of range [0, {d * d})")
-    return _sibl_sets(d)[j]
+    d = validate_state_count(d)
+    return _sibl_sets(d)[as_integer(j, "sibling-set index", 0, d * d - 1)]
 
 
 @dataclass(frozen=True)
@@ -103,17 +91,16 @@ class Rule:
     value_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        validate_state_count(self.d)
+        d = validate_state_count(self.d)
         table = tuple(as_integer(v, "table entry") for v in self.table)
-        if len(table) != self.d ** 3:
-            raise ValueError(
-                f"rule table must have {self.d ** 3} entries, got {len(table)}"
-            )
-        masks = [0] * self.d
+        if len(table) != d ** 3:
+            raise ValueError(f"rule table must have {d ** 3} entries, got {len(table)}")
+        masks = [0] * d
         for r, v in enumerate(table):
-            if not 0 <= v < self.d:
-                raise ValueError(f"table entry {v} at RMT {r} out of range [0, {self.d})")
+            if not 0 <= v < d:
+                raise ValueError(f"table entry {v} at RMT {r} out of range [0, {d})")
             masks[v] |= 1 << r
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "value_masks", tuple(masks))
 
@@ -155,7 +142,7 @@ def parse_rule(text: str, d: int) -> Rule:
     The rightmost symbol is the next state of RMT 0, the leftmost of
     RMT d**3 - 1.
     """
-    validate_state_count(d)
+    d = validate_state_count(d)
     text = text.strip()
     comma = "," in text
     if comma:

@@ -28,6 +28,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterator, Sequence
 
+from .errors import as_integer
 from .rules import Rule, _equi_sets, _sibl_sets, validate_state_count
 
 STRATEGIES = ("I", "II", "III")
@@ -35,8 +36,7 @@ STRATEGIES = ("I", "II", "III")
 
 def count_balanced(d: int) -> int:
     """Exact number of balanced d-state rules: (d**3)! / ((d**2)!)**d."""
-    if d < 2:
-        raise ValueError("need at least 2 states")
+    d = as_integer(d, "state count", 2)
     return factorial(d ** 3) // factorial(d * d) ** d
 
 
@@ -46,7 +46,7 @@ def _perms(d: int) -> tuple[tuple[int, ...], ...]:
 
 
 def strategy_family_size(strategy: str, d: int) -> int:
-    validate_state_count(d)
+    d = validate_state_count(d)
     fact = factorial(d)
     if strategy in ("I", "II"):
         return fact ** (d * d)
@@ -81,8 +81,7 @@ def _rmt_sets(strategy: str, d: int) -> tuple[tuple[int, ...], ...]:
 def rule_at(strategy: str, d: int, index: int) -> Rule:
     """Decode a family index into its rule (O(d**3), no enumeration)."""
     size = strategy_family_size(strategy, d)
-    if not 0 <= index < size:
-        raise ValueError(f"index {index} out of range [0, {size}) for strategy {strategy}")
+    index = as_integer(index, f"strategy {strategy} index", 0, size - 1)
     perms = _perms(d)
     if strategy != "III":
         # one permutation per set: the k-th RMT of set s gets perm_s[k]
@@ -140,8 +139,7 @@ def sample_strategy(strategy: str, d: int, count: int, seed: int) -> list[Rule]:
     A count at or beyond the family size returns the whole family in
     enumeration order (with a warning).
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = as_integer(count, "count", 1)
     size = strategy_family_size(strategy, d)
     if count >= size:
         if count > size:
@@ -165,7 +163,7 @@ def sample_strategy(strategy: str, d: int, count: int, seed: int) -> list[Rule]:
 
 def random_balanced_rules(d: int, count: int, seed: int) -> list[Rule]:
     """Uniform balanced rules: a seeded shuffle of the balanced multiset."""
-    validate_state_count(d)
+    d, count = validate_state_count(d), as_integer(count, "count", 0)
     rng = random.Random(seed)
     base: Sequence[int] = [m for m in range(d) for _ in range(d * d)]
     out = []

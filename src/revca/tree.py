@@ -52,6 +52,7 @@ from heapq import heapify, heappop
 from struct import Struct
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from .errors import as_integer
 from .rules import Rule, _equi_sets, _sibl_sets, validate_cell_count, validate_state_count
 
 
@@ -171,7 +172,7 @@ def _layout(d: int) -> _Layout:
 def root(d: int) -> TreeNode:
     """Window set w starts with the sibling set of w: first two cells fixed,
     third free."""
-    validate_state_count(d)
+    d = validate_state_count(d)
     return TreeNode.from_windows(d, map(_mask, _sibl_sets(d)))
 
 
@@ -187,8 +188,7 @@ def edge_label(node: TreeNode, rule: Rule, m: int) -> TreeNode:
     d = node.d
     if rule.d != d:
         raise ValueError(f"node has {d} states, rule has {rule.d}")
-    if not 0 <= m < d:
-        raise ValueError(f"edge state {m} out of range [0, {d})")
+    m = as_integer(m, "edge state", 0, d - 1)
     return TreeNode(d, node.bits & rule.value_masks[m] * _layout(d).replicate)
 
 
@@ -311,9 +311,8 @@ def node_is_balanced(node: TreeNode, rule: Rule) -> bool:
 def expected_edge_total(level: int, n: int, d: int) -> int:
     """The RMT count a level-``level`` edge label must carry in a complete
     tree: d**2 up to level n-3, d at level n-2, 1 at level n-1."""
-    n = validate_cell_count(n)
-    if not 0 <= level <= n - 1:
-        raise ValueError(f"edge level {level} out of range [0, {n - 1}]")
+    n, d = validate_cell_count(n), validate_state_count(d)
+    level = as_integer(level, "edge level", 0, n - 1)
     if level <= n - 3:
         return d * d
     if level == n - 2:

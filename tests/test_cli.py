@@ -129,6 +129,16 @@ def test_gen_sample_beyond_machine_int(capsys):
     assert len(out.splitlines()) == 3
 
 
+def test_gen_sample_beyond_the_family_warns_in_one_line(capsys):
+    _, family, _ = run(capsys, "gen", "--strategy", "III", "--states", "2", "--all")
+    code, out, err = run(capsys, "gen", "--strategy", "III", "--states", "2", "--sample", "10")
+    assert (code, out) == (0, family)
+    assert err == (
+        "warning: requested 10 rules but strategy III for d=2 has only 6; "
+        "returning the whole family\n"
+    )
+
+
 def test_gen_pipes_into_check(capsys):
     _, out, _ = run(capsys, "gen", "--strategy", "II", "--states", "2", "--all")
     rules = out.splitlines()
@@ -209,6 +219,12 @@ def test_usage_errors_exit_2(capsys):
     )
     assert (code, out) == (2, "")
     assert err == "error: steps must be >= 0\n"
+    for argv, message in (
+        (("check", "--states", "7", "--rule", "0" * 343, "--cells", "4"), "state count must be in [2, 6], got 7"),
+        (("oracle", "--states", "3", "--rule", FIG1_RULE, "--cells", "2"), "cell count must be >= 3, got 2"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
     with pytest.raises(SystemExit) as exc:
         main(["check", "--states", "3", "--rule", FIG1_RULE, "--cells-range", "5"])
     out, err = capsys.readouterr()

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from revca import Rule, parse_rule
 from revca.errors import RuleFormatError
+from revca.evolution import orbit, parse_configuration, step
+from revca.oracle import find_nonreachable
 from revca.rules import (
     equi_set,
     format_rule,
@@ -18,6 +20,14 @@ from revca.rules import (
     rmt_index,
     sibl_set,
 )
+from revca.strategies import (
+    count_balanced,
+    random_balanced_rules,
+    rule_at,
+    sample_strategy,
+    strategy_family_size,
+)
+from revca.tree import edge_label, root
 
 FIG1_RULE = "201210210201210210201210210"
 
@@ -179,6 +189,47 @@ def test_rule_table_entries_must_be_integers():
     assert all(type(v) is int for v in rule.table)
     assert rule == Rule(2, (1, 0) * 4)
     assert format_rule(rule) == "01010101"
+
+
+_FIG1 = parse_rule(FIG1_RULE, 3)
+
+
+def _arg(function, what, call, probed, good):
+    """``call(v)`` calls ``function`` with ``v`` for its argument ``what``;
+    ``probed`` is a bad value for it and ``good`` a good one."""
+    return pytest.param(what, call, probed, good, id=f"{function}-{what}")
+
+
+@pytest.mark.parametrize("what, call, probed, good", [
+    _arg("sample_strategy", "count", lambda v: sample_strategy("I", 3, v, 0), 0, 2),
+    _arg("rule_at", "strategy I index", lambda v: rule_at("I", 2, v), 16, 15),
+    _arg("orbit", "t_max", lambda v: orbit(_FIG1, (0, 1, 2, 0), v), 0, 3),
+    _arg("find_nonreachable", "limit", lambda v: find_nonreachable(_FIG1, 4, limit=v), -1, 2),
+    _arg("count_balanced", "state count", count_balanced, 1, 3),
+    _arg("random_balanced_rules", "count", lambda v: random_balanced_rules(3, v, 0), -1, 2),
+    _arg("equi_set", "equivalent-set index", lambda v: equi_set(v, 3), 9, 4),
+    _arg("sibl_set", "sibling-set index", lambda v: sibl_set(v, 3), -1, 4),
+    _arg("edge_label", "edge state", lambda v: edge_label(root(3), _FIG1, v), 3, 1),
+    _arg("step", "cell state", lambda v: step(_FIG1, (0, v, 2)), 3, 1),
+    _arg("rmt_index", "state", lambda v: rmt_index(v, 2, 0, 3), 3, 1),
+    _arg("rmt_decompose", "RMT", lambda v: rmt_decompose(v, 3), 27, 5),
+    _arg("parse_configuration", "state count", lambda v: parse_configuration("012", v), 10, 3),
+    _arg("Rule", "state count", lambda v: Rule(v, (1, 0) * 4).d, 7, 2),
+    _arg("parse_rule", "state count", lambda v: parse_rule("11001100", v), 1, 2),
+    _arg("strategy_family_size", "state count", lambda v: strategy_family_size("I", v), 7, 2),
+])
+def test_integer_arguments_are_checked(what, call, probed, good):
+    """An integer argument takes what ``operator.index`` takes and nothing
+    else: a value out of range, a float (integral or not) or a bool is a
+    ValueError naming the argument, and a numpy int gives the plain-int
+    result."""
+    for bad in (probed, 1.0, 2.5, True):
+        with pytest.raises(ValueError, match=f"^{what} must be "):
+            call(bad)
+    # a numpy int's repr is np.int64(...), so equal reprs mean plain ints
+    # all through the result
+    result, expected = call(numpy.int64(good)), call(good)
+    assert type(result) is type(expected) and repr(result) == repr(expected)
 
 
 def test_rule_next_state_and_masks():
