@@ -16,7 +16,12 @@ preperiod q and period p. That turns the decision for any n into
   RMT.
 
 Any failed cardinality check certifies irreversibility with a witness;
-if nothing fails the tree is complete and the CA is reversible. An
+if nothing fails the tree is complete and the CA is reversible. A
+surjective rule skips the interior check, which it cannot fail. Such a
+rule gives every word exactly d**2 preimages, any two differing in their
+first two cells (Hedlund 1969), so each starting window has one preimage
+of a level's output word and every interior label carries d**2 RMTs; one
+search of the pair graph (``pairs.is_surjective``) tells, once per rule. An
 unbalanced rule fails at the root, so it is rejected with its closure
 built but never advanced. The frontier sequence is one lazy sequence per
 rule, computed only as far as callers ask; a decision never asks past
@@ -42,7 +47,8 @@ from itertools import chain, count, islice
 from typing import Mapping
 
 from .errors import ResourceLimitError, as_integer, read_budget
-from .rules import Rule, format_rule, is_balanced, validate_cell_count
+from .pairs import is_surjective
+from .rules import Rule, format_rule, is_balanced, validate_cell_count, validate_cell_range
 from .tree import (
     TreeNode,
     expand_lanes,
@@ -148,6 +154,8 @@ class FrontierClosure:
         self.node_budget = read_budget(node_budget, _NODE_BUDGET_ENV, DEFAULT_NODE_BUDGET)
         d = rule.d
         self._masks = label_masks(rule)
+        # surjective implies balanced, and the search costs more than the test
+        self._surjective = is_balanced(rule) and is_surjective(rule)
         # the root is id 0; looking up an unseen lane hands out the next id
         self._lane = [root(d).bits.to_bytes(lane_bytes(d), "big")]
         self._ids: defaultdict[bytes, int] = defaultdict(count(1).__next__, {self._lane[0]: 0})
@@ -193,8 +201,10 @@ class FrontierClosure:
         expanded = len(children[0])
         new = self._lane[expanded:]
         counted, witness = len(new), None
-        # a node already expanded passed its check at an earlier level
-        found = first_violator(new, self._masks) if self._violation is None else None
+        # a node already expanded passed its check at an earlier level, and
+        # a surjective rule's nodes pass it (module docstring)
+        check = self._violation is None and not self._surjective
+        found = first_violator(new, self._masks) if check else None
         if found is not None:
             counted, *label = found
             witness = _witness(self.rule.d, level, *label)
@@ -314,9 +324,7 @@ def decide_range(
     node_budget: int | None = None,
 ) -> Mapping[int, Verdict]:
     """Decide every cell count in [n_lo, n_hi], sharing one closure."""
-    n_lo, n_hi = as_integer(n_lo, "cell count"), as_integer(n_hi, "cell count")
-    if not 3 <= n_lo <= n_hi:
-        raise ValueError(f"need 3 <= n_lo <= n_hi, got {n_lo}..{n_hi}")
+    n_lo, n_hi = validate_cell_range(n_lo, n_hi)
     closure = FrontierClosure(rule, node_budget=node_budget)
     try:
         return {n: decide(rule, n, closure) for n in range(n_lo, n_hi + 1)}

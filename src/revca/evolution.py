@@ -122,6 +122,7 @@ def step_on_graph(graph: DeBruijnGraph, cells: Configuration) -> Configuration:
     """
     n = validate_cell_count(len(cells))
     d = graph.d
+    cells = tuple(as_integer(s, "cell state", 0, d - 1) for s in cells)
     out = []
     vertex = (cells[0], cells[1])
     for i in range(n):

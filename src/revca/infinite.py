@@ -14,11 +14,9 @@ a cycle because the de Bruijn graph is strongly connected. Hence:
 and looping that cycle yields two distinct spatially periodic
 configurations with the same image -- the returned witness.
 
-The graph is built and searched on ints: window (a, b) is w = a*d + b and
-pair (w1, w2) is v = w1*d**2 + w2, so int order is the pairs' lexicographic
-order. The edges leaving window w are the RMTs r in Sibl(w), each ending
-at window r mod d**2, so ``rule.table`` alone gives the adjacency. Pairs
-are decoded only for the witness and for ``pair_graph``, a decoded view.
+The graph is built and searched on ints (``pairs.pair_adjacency``).
+Pairs are decoded only for the witness and for ``pair_graph``, a decoded
+view.
 
 Theorem: a rule injective on the lattice is reversible on the n-cell ring
 for every n >= 3. Two distinct n-rings with one image, each repeated with
@@ -34,23 +32,10 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .decider import decide_range
-from .rules import Rule, format_rule
+from .pairs import pair_adjacency
+from .rules import Rule, format_rule, validate_cell_range, validate_state_count
 
 Pair = tuple[tuple[int, int], tuple[int, int]]  # two windows
-
-
-def _pair_adjacency(rule: Rule) -> list[list[int]]:
-    """Out-edges of every pair vertex v = w1*d**2 + w2, in vertex order:
-    (r1 % d**2)*d**2 + r2 % d**2 over r1 in Sibl(w1), r2 in Sibl(w2), r1
-    outer, keeping the RMT pairs with equal next states."""
-    d, table = rule.d, rule.table
-    dd = d * d
-    out = [[(r % dd, table[r]) for r in range(w * d, w * d + d)] for w in range(dd)]
-    return [
-        [x1 * dd + x2 for x1, m1 in out1 for x2, m2 in out2 if m1 == m2]
-        for out1 in out
-        for out2 in out
-    ]
 
 
 def _pair(v: int, d: int) -> Pair:
@@ -62,7 +47,7 @@ def pair_graph(rule: Rule) -> dict[Pair, tuple[Pair, ...]]:
     """The matched-output pair graph, decoded: keys run over (w1, w2) in
     lexicographic order, out-edges over the two edges' third cells (c1, c2)."""
     pairs = [_pair(v, rule.d) for v in range(rule.d ** 4)]
-    adj = _pair_adjacency(rule)
+    adj = pair_adjacency(rule)
     return {pairs[v]: tuple(pairs[u] for u in outs) for v, outs in enumerate(adj)}
 
 
@@ -180,7 +165,7 @@ def _decorate(rule: Rule, cycle: Sequence[int]) -> InjectivityWitness:
 def infinite_injective(rule: Rule) -> InjectivityResult:
     """Test injectivity of the rule's global map on the unbounded lattice."""
     dd = rule.d * rule.d
-    adj = _pair_adjacency(rule)
+    adj = pair_adjacency(rule)
     for comp in _sccs(adj):
         off_diagonal = [v for v in comp if v // dd != v % dd]
         if off_diagonal and (len(comp) > 1 or comp[0] in adj[comp[0]]):  # on a cycle
@@ -240,6 +225,7 @@ class ConjectureReport:
 
 def conjecture_experiment(d: int, rules: Iterable[Rule], n_lo: int, n_hi: int) -> ConjectureReport:
     """Cross 'injective on the unbounded lattice' with per-n ring verdicts."""
+    d, (n_lo, n_hi) = validate_state_count(d), validate_cell_range(n_lo, n_hi)
     rows = []
     for rule in rules:
         if rule.d != d:

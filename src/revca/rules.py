@@ -41,6 +41,15 @@ def validate_cell_count(n: int) -> int:
     return as_integer(n, "cell count", 3)
 
 
+def validate_cell_range(n_lo: int, n_hi: int) -> tuple[int, int]:
+    """``(n_lo, n_hi)`` as plain ints if they bound a range of ring sizes,
+    3 <= n_lo <= n_hi."""
+    n_lo, n_hi = as_integer(n_lo, "cell count"), as_integer(n_hi, "cell count")
+    if not 3 <= n_lo <= n_hi:
+        raise ValueError(f"need 3 <= n_lo <= n_hi, got {n_lo}..{n_hi}")
+    return n_lo, n_hi
+
+
 def rmt_index(x: int, y: int, z: int, d: int) -> int:
     """Encode the neighborhood triple (x, y, z) as an RMT index."""
     d = validate_state_count(d)

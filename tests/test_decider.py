@@ -1,5 +1,6 @@
 """The minimized-tree decision procedure and its frontier closure."""
 
+import collections
 import dataclasses
 import gc
 import hashlib
@@ -27,6 +28,7 @@ from revca import (
     sample_strategy,
 )
 from revca.decider import frontier_closure
+from revca.pairs import is_surjective
 from revca.strategies import enumerate_strategy, random_balanced_rules, rule_at, strategy_family_size
 from revca.tree import TreeNode, expected_edge_total, root
 
@@ -326,6 +328,52 @@ def test_expanding_a_violating_level_counts_all_its_nodes():
     with pytest.raises(ResourceLimitError) as info:
         closure.frontier_at(2)
     assert info.value.frontier_sizes == (1, 3)
+
+
+def _closure_within(rule, budget):
+    """The rule's frontier closure, or as far as ``budget`` nodes take it."""
+    closure = FrontierClosure(rule, node_budget=budget)
+    try:
+        while not closure.closed:
+            closure.frontier_at(closure.levels_computed)
+    except ResourceLimitError:
+        pass
+    return closure
+
+
+def test_interior_check_fails_exactly_for_non_surjective_rules():
+    # the closure skips the interior label check for a surjective rule:
+    # count every label of its frontiers here instead; a rule that is not
+    # onto must still be caught by that check
+    rules = [Rule(2, bits) for bits in itertools.product(range(2), repeat=8)]
+    rules += enumerate_strategy("III", 3)
+    for d in (3, 4):
+        for i, strategy in enumerate(("I", "II", "III")):
+            rules += sample_strategy(strategy, d, 5, seed=10 * d + i)
+        rules += random_balanced_rules(d, 10, seed=10 * d + 3)
+    outcomes = collections.Counter()
+    for rule in rules:
+        d = rule.d
+        if is_surjective(rule):
+            closure = _closure_within(rule, 2000)
+            for frontier in closure.levels:
+                for node in frontier:
+                    assert all(edge_label(node, rule, m).total() == d * d for m in range(d)), rule.table
+            outcomes[d, "surjective", closure.closed] += 1
+        else:
+            closure = FrontierClosure(rule, node_budget=2000)
+            assert closure.first_interior_violation(10 ** 6) is not None, rule.table
+            outcomes[d, "not onto"] += 1
+    assert outcomes == {
+        (2, "surjective", True): 30,
+        (2, "not onto"): 226,
+        (3, "surjective", True): 222 + 5,
+        (3, "surjective", False): 10,
+        (3, "not onto"): 10,
+        (4, "surjective", True): 5,
+        (4, "surjective", False): 10,
+        (4, "not onto"): 10,
+    }
 
 
 @pytest.mark.parametrize(

@@ -122,10 +122,13 @@ def test_step_is_bijection_for_reversible_rule():
 
 def test_step_validates_input():
     rule = identity_rule(2)
-    with pytest.raises(ValueError):
-        step(rule, (0, 1))
-    with pytest.raises(ValueError):
-        step(rule, (0, 1, 2))
+    graph = build_debruijn(rule)
+    for update in (lambda cells: step(rule, cells), lambda cells: step_on_graph(graph, cells)):
+        with pytest.raises(ValueError):
+            update((0, 1))
+        for cells in ((0, 1, 2), (0, 5, 1), (0, 1.0, 1), (0, -1, 1)):
+            with pytest.raises(ValueError, match="^cell state must be "):
+                update(cells)
 
 
 def test_export_dot():

@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from revca import Rule, decide, decide_range, infinite_injective, pair_graph, parse_rule
 from revca.evolution import build_debruijn, step
 from revca.infinite import conjecture_experiment
+from revca.pairs import is_surjective
 from revca.strategies import (
     enumerate_strategy,
     random_balanced_rules,
@@ -175,6 +177,42 @@ def test_pair_graph_shape():
         assert len(outs) <= 4
 
 
+def _has_orphan(rule, length):
+    """Whether some word of ``length`` cells has no preimage, a Garden-of-Eden
+    word, by listing the images of all words of ``length`` + 2 cells."""
+    d, table = rule.d, rule.table
+    # (last two cells of a preimage as a window, its image so far)
+    reached = {(w, ()) for w in range(d * d)}
+    for _ in range(length):
+        reached = {(w % d * d + c, image + (table[w * d + c],)) for w, image in reached for c in range(d)}
+    return len({image for _, image in reached}) < d ** length
+
+
+def test_surjective_iff_no_garden_of_eden_word_on_two_state_rules():
+    # a rule is onto iff no finite word is an orphan; every two-state rule
+    # that is not onto has one of at most 9 cells (four need all 9)
+    surjective = 0
+    for bits in itertools.product(range(2), repeat=8):
+        rule = Rule(2, bits)
+        assert is_surjective(rule) != _has_orphan(rule, 9), bits
+        surjective += is_surjective(rule)
+    assert surjective == 30
+
+
+@st.composite
+def _strategy_rules(draw):
+    d = draw(st.integers(2, 5))
+    strategy = draw(st.sampled_from(("I", "II", "III")))
+    return rule_at(strategy, d, draw(st.integers(0, strategy_family_size(strategy, d) - 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_strategy_rules())
+def test_strategy_rules_are_surjective(rule):
+    # each strategy makes its rules permutive in one cell (Hedlund 1969)
+    assert is_surjective(rule), rule.table
+
+
 def test_conjecture_experiment_small():
     rules = [
         parse_rule(ODD_ONLY_RULE, 3),
@@ -201,6 +239,20 @@ def test_conjecture_experiment_empty_source():
 def test_conjecture_experiment_rejects_wrong_d():
     with pytest.raises(ValueError):
         conjecture_experiment(2, [parse_rule(FIG1_RULE, 3)], 3, 5)
+
+
+def test_conjecture_experiment_checks_its_arguments_up_front():
+    # with no rules to decide, only the up-front checks can reject these
+    with pytest.raises(ValueError, match="^state count must be in"):
+        conjecture_experiment(9, [], 3, 5)
+    for n_lo, n_hi in ((2, 5), (6, 5)):
+        with pytest.raises(ValueError, match="^need 3 <= n_lo <= n_hi"):
+            conjecture_experiment(2, [], n_lo, n_hi)
+    with pytest.raises(ValueError, match="^cell count must be an integer"):
+        conjecture_experiment(2, [], 3.0, 5)
+    record = conjecture_experiment(numpy.int64(2), [], numpy.int64(3), 5).to_dict()
+    assert json.loads(json.dumps(record)) == record
+    assert [type(record[k]) for k in ("d", "n_lo", "n_hi")] == [int] * 3
 
 
 def test_injective_implies_reversible_spot_check():
