@@ -5,7 +5,6 @@
 
 from revca import parse_rule
 from revca.evolution import (
-    build_debruijn,
     export_dot,
     format_configuration,
     orbit,
@@ -19,12 +18,14 @@ cells = parse_configuration("1012", 3)
 
 print("one update of the ring 1012:")
 print("  direct formula :", format_configuration(step(rule, cells)))
-graph = build_debruijn(rule)
-print("  de Bruijn walk :", format_configuration(step_on_graph(graph, cells)))
+print("  de Bruijn walk :", format_configuration(step_on_graph(rule, cells)))
 
-print("\nthe graph has", len(graph.vertices), "vertices and", len(graph.edges), "edges")
+dot = export_dot(rule).splitlines()
+edges = sum("->" in line for line in dot)
+vertices = sum(line.endswith('";') for line in dot)
+print("\nthe rule's de Bruijn graph has", vertices, "vertices and", edges, "edges")
 print("first few DOT lines:")
-print("\n".join(export_dot(graph).splitlines()[:6]))
+print("\n".join(dot[:6]))
 
 print("\nthis rule is reversible, so every trajectory is a pure cycle:")
 result = orbit(rule, cells, t_max=100)

@@ -17,7 +17,6 @@ from typing import Sequence
 from .decider import decide, decide_range
 from .errors import _SIGNED_INT, ResourceLimitError, RuleFormatError
 from .evolution import (
-    build_debruijn,
     export_dot,
     format_configuration,
     parse_configuration,
@@ -170,7 +169,7 @@ def _cmd_infinite(args) -> int:
 
 def _cmd_dot(args) -> int:
     rule = parse_rule(args.rule, args.states)
-    sys.stdout.write(export_dot(build_debruijn(rule)))
+    sys.stdout.write(export_dot(rule))
     return 0
 
 

@@ -5,11 +5,13 @@ position i, the rule on the length-3 window starting at i:
 
     out[i] = f(c[i], c[i+1 mod n], c[i+2 mod n])
 
-which is exactly the output sequence obtained by walking the rule's
-de Bruijn graph along the overlapping two-cell windows of c. (Any other
-alignment of windows to output positions differs from this one by a
-rotation, so reversibility is unaffected; this alignment is the one the
-reachability tree encodes.)
+A rule table already is its de Bruijn graph: the vertices are the d**2
+two-cell windows and the d**3 RMTs are the edges, labelled by their
+outputs. :func:`step_on_graph` evaluates the global map by walking that
+graph along the overlapping windows of c and is checked against
+:func:`step`. (Any other alignment of windows to output positions differs
+from this one by a rotation, so reversibility is unaffected; this
+alignment is the one the reachability tree encodes.)
 """
 
 from __future__ import annotations
@@ -80,69 +82,33 @@ def orbit(rule: Rule, cells: Configuration, t_max: int) -> OrbitResult:
     return OrbitResult(tuple(states), None, None)
 
 
-@dataclass(frozen=True)
-class DeBruijnEdge:
-    src: tuple[int, int]
-    dst: tuple[int, int]
-    rmt: int
-    output: int
+def step_on_graph(rule: Rule, cells: Configuration) -> Configuration:
+    """Evaluate the global map by walking the rule's de Bruijn graph.
 
-
-@dataclass(frozen=True)
-class DeBruijnGraph:
-    """d**2 vertices (two-cell windows) and d**3 labelled edges, one per RMT."""
-
-    d: int
-    edges: tuple[DeBruijnEdge, ...]
-
-    @property
-    def vertices(self) -> tuple[tuple[int, int], ...]:
-        d = self.d
-        return tuple((a, b) for a in range(d) for b in range(d))
-
-    def edge_for_rmt(self, r: int) -> DeBruijnEdge:
-        return self.edges[r]
-
-
-def build_debruijn(rule: Rule) -> DeBruijnGraph:
-    d = rule.d
-    edges = []
-    for r in range(d ** 3):
-        x, y, z = rmt_decompose(r, d)
-        edges.append(DeBruijnEdge((x, y), (y, z), r, rule.table[r]))
-    return DeBruijnGraph(d, tuple(edges))
-
-
-def step_on_graph(graph: DeBruijnGraph, cells: Configuration) -> Configuration:
-    """Evaluate the global map by walking the de Bruijn graph.
-
-    Starting at the vertex made of the first two cells, follow the edge
-    whose label extends the window by the next cell; the edge outputs form
-    the next configuration. Must agree with :func:`step` everywhere.
+    From window w = a*d + b the next cell z picks the edge RMT r = w*d + z,
+    which outputs ``rule.table[r]`` and enters window r mod d**2. The walk
+    starts at the first two cells' window. Must agree with :func:`step`.
     """
     n = validate_cell_count(len(cells))
-    d = graph.d
+    d = rule.d
+    table = rule.table
     cells = tuple(as_integer(s, "cell state", 0, d - 1) for s in cells)
     out = []
-    vertex = (cells[0], cells[1])
+    window = cells[0] * d + cells[1]
     for i in range(n):
-        nxt = cells[(i + 2) % n]
-        edge = graph.edge_for_rmt(vertex[0] * d * d + vertex[1] * d + nxt)
-        assert edge.src == vertex
-        out.append(edge.output)
-        vertex = edge.dst
-    assert vertex == (cells[0], cells[1])
+        r = window * d + cells[(i + 2) % n]
+        out.append(table[r])
+        window = r % (d * d)
     return tuple(out)
 
 
-def export_dot(graph: DeBruijnGraph) -> str:
-    """Render the graph as DOT text with edge labels ``xyz/v``."""
+def export_dot(rule: Rule) -> str:
+    """Render the rule's de Bruijn graph as DOT text with edge labels ``xyz/v``."""
+    d = rule.d
     lines = ["digraph debruijn {", "  rankdir=LR;"]
-    for a, b in graph.vertices:
-        lines.append(f'  "{a}{b}";')
-    for e in graph.edges:  # ascending RMT order keeps output deterministic
-        x, y = e.src
-        _, z = e.dst
-        lines.append(f'  "{x}{y}" -> "{y}{z}" [label="{x}{y}{z}/{e.output}"];')
+    lines += [f'  "{a}{b}";' for a in range(d) for b in range(d)]
+    for r, v in enumerate(rule.table):  # ascending RMT order keeps output deterministic
+        x, y, z = rmt_decompose(r, d)
+        lines.append(f'  "{x}{y}" -> "{y}{z}" [label="{x}{y}{z}/{v}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -299,6 +299,8 @@ def child(label: TreeNode, node_class: NodeClass) -> TreeNode:
         f &= _layout(label.d).second_last
     elif node_class is NodeClass.LAST:
         f &= _layout(label.d).last
+    elif not isinstance(node_class, NodeClass):
+        raise ValueError(f"node class must be a NodeClass, got {node_class!r}")
     return TreeNode(label.d, f)
 
 

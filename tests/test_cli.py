@@ -1,5 +1,6 @@
 """Command-line interface: flags, wire formats, exit codes."""
 
+import hashlib
 import json
 import time
 
@@ -182,11 +183,32 @@ def test_infinite_output(capsys):
     assert lines[2].startswith("  outputs: ")
 
 
+DOT_11001100 = """digraph debruijn {
+  rankdir=LR;
+  "00";
+  "01";
+  "10";
+  "11";
+  "00" -> "00" [label="000/0"];
+  "00" -> "01" [label="001/0"];
+  "01" -> "10" [label="010/1"];
+  "01" -> "11" [label="011/1"];
+  "10" -> "00" [label="100/0"];
+  "10" -> "01" [label="101/0"];
+  "11" -> "10" [label="110/1"];
+  "11" -> "11" [label="111/1"];
+}
+"""
+
+
 def test_dot_output(capsys):
     code, out, _ = run(capsys, "dot", "--states", "2", "--rule", "11001100")
     assert code == 0
-    assert out.count("->") == 8
-    assert '"010/1"' in out
+    assert out == DOT_11001100
+    code, out, _ = run(capsys, "dot", "--states", "3", "--rule", FIG1_RULE)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "eb54d1bed04d712fc2becbef5a7c4a3bac83915f165213171f34f08908322b70"
 
 
 def test_usage_errors_exit_2(capsys):

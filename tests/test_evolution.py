@@ -1,13 +1,13 @@
 """Global map evaluation, de Bruijn graph, and orbits."""
 
 import random
+import re
 
 import pytest
 
 from revca import Rule, parse_rule
 from revca.errors import RuleFormatError
 from revca.evolution import (
-    build_debruijn,
     export_dot,
     format_configuration,
     orbit,
@@ -28,7 +28,7 @@ def test_walk_example():
     rule = parse_rule(FIG1_RULE, 3)
     cells = parse_configuration("1012", 3)
     assert format_configuration(step(rule, cells)) == "1200"
-    assert format_configuration(step_on_graph(build_debruijn(rule), cells)) == "1200"
+    assert format_configuration(step_on_graph(rule, cells)) == "1200"
 
 
 def test_identity_rule_fixes_everything():
@@ -47,42 +47,48 @@ def test_negated_shift_by_two():
 
 def test_walk_equals_direct_formula():
     rng = random.Random(12345)
-    graphs = {}
     for _ in range(1000):
         d = rng.choice((2, 3, 4))
         rule = Rule(d, tuple(rng.randrange(d) for _ in range(d ** 3)))
         n = rng.randrange(3, 11)
         cells = tuple(rng.randrange(d) for _ in range(n))
-        graph = graphs.get(rule)
-        if graph is None:
-            graph = graphs.setdefault(rule, build_debruijn(rule))
-        assert step(rule, cells) == step_on_graph(graph, cells)
+        assert step(rule, cells) == step_on_graph(rule, cells)
+
+
+def _dot_graph(rule):
+    """The vertex names and the (src, dst, label) edges of ``export_dot(rule)``."""
+    text = export_dot(rule)
+    vertices = re.findall(r'^  "(\d+)";$', text, re.M)
+    edges = re.findall(r'^  "(\d+)" -> "(\d+)" \[label="(\d+/\d+)"\];$', text, re.M)
+    assert text.count("\n") == 3 + len(vertices) + len(edges)
+    return vertices, edges
 
 
 def test_debruijn_shape():
-    g3 = build_debruijn(parse_rule(FIG1_RULE, 3))
-    assert len(g3.vertices) == 9
-    assert len(g3.edges) == 27
-    g2 = build_debruijn(identity_rule(2))
-    assert len(g2.vertices) == 4
-    assert len(g2.edges) == 8
+    vertices, edges = _dot_graph(parse_rule(FIG1_RULE, 3))
+    assert len(vertices) == 9
+    assert len(edges) == 27
+    vertices, edges = _dot_graph(identity_rule(2))
+    assert len(vertices) == 4
+    assert len(edges) == 8
 
 
 def test_debruijn_edge_outputs():
-    g = build_debruijn(parse_rule(FIG1_RULE, 3))
-    assert g.edge_for_rmt(0).output == 0  # f(0,0,0)
-    assert g.edge_for_rmt(1).output == 1  # f(0,0,1)
-    assert g.edge_for_rmt(19).output == 1  # f(2,0,1)
+    _, edges = _dot_graph(parse_rule(FIG1_RULE, 3))
+    labels = [label for _, _, label in edges]
+    assert labels[0] == "000/0"  # f(0,0,0)
+    assert labels[1] == "001/1"  # f(0,0,1)
+    assert labels[19] == "201/1"  # f(2,0,1)
 
 
 def test_debruijn_degrees():
     for d in (2, 3, 4):
-        g = build_debruijn(identity_rule(d))
-        indeg = {v: 0 for v in g.vertices}
-        outdeg = {v: 0 for v in g.vertices}
-        for e in g.edges:
-            outdeg[e.src] += 1
-            indeg[e.dst] += 1
+        vertices, edges = _dot_graph(identity_rule(d))
+        indeg = {v: 0 for v in vertices}
+        outdeg = {v: 0 for v in vertices}
+        for src, dst, _ in edges:
+            outdeg[src] += 1
+            indeg[dst] += 1
         assert set(indeg.values()) == {d}
         assert set(outdeg.values()) == {d}
 
@@ -122,8 +128,7 @@ def test_step_is_bijection_for_reversible_rule():
 
 def test_step_validates_input():
     rule = identity_rule(2)
-    graph = build_debruijn(rule)
-    for update in (lambda cells: step(rule, cells), lambda cells: step_on_graph(graph, cells)):
+    for update in (lambda cells: step(rule, cells), lambda cells: step_on_graph(rule, cells)):
         with pytest.raises(ValueError):
             update((0, 1))
         for cells in ((0, 1, 2), (0, 5, 1), (0, 1.0, 1), (0, -1, 1)):
@@ -132,10 +137,10 @@ def test_step_validates_input():
 
 
 def test_export_dot():
-    text = export_dot(build_debruijn(parse_rule("11001100", 2)))
+    text = export_dot(parse_rule("11001100", 2))
     assert text.count("->") == 8
     assert '"01" -> "10" [label="010/1"];' in text
-    fig1 = export_dot(build_debruijn(parse_rule(FIG1_RULE, 3)))
+    fig1 = export_dot(parse_rule(FIG1_RULE, 3))
     assert '[label="201/1"]' in fig1
     assert fig1.count("->") == 27
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from revca import Rule, parse_rule
 from revca.errors import RuleFormatError
-from revca.evolution import build_debruijn, orbit, parse_configuration, step, step_on_graph
+from revca.evolution import orbit, parse_configuration, step, step_on_graph
 from revca.oracle import find_nonreachable
 from revca.rules import (
     equi_set,
@@ -211,7 +211,7 @@ def _arg(function, what, call, probed, good):
     _arg("sibl_set", "sibling-set index", lambda v: sibl_set(v, 3), -1, 4),
     _arg("edge_label", "edge state", lambda v: edge_label(root(3), _FIG1, v), 3, 1),
     _arg("step", "cell state", lambda v: step(_FIG1, (0, v, 2)), 3, 1),
-    _arg("step_on_graph", "cell state", lambda v: step_on_graph(build_debruijn(_FIG1), (0, v, 2)), -1, 1),
+    _arg("step_on_graph", "cell state", lambda v: step_on_graph(_FIG1, (0, v, 2)), -1, 1),
     _arg("rmt_index", "state", lambda v: rmt_index(v, 2, 0, 3), 3, 1),
     _arg("rmt_decompose", "RMT", lambda v: rmt_decompose(v, 3), 27, 5),
     _arg("parse_configuration", "state count", lambda v: parse_configuration("012", v), 10, 3),

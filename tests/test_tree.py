@@ -283,6 +283,10 @@ def test_fig2_last_filter_golden():
     level3 = child(edge_label(level2, rule, 0), NodeClass.LAST)
     assert format_node(level3) == "[][1][][][][][15][][17]"
     assert set(level3.window_set(1)) == {1}
+    # a class given by its value, not the enum member, is refused
+    for klass in ("last", None, 2):
+        with pytest.raises(ValueError, match="^node class must be a NodeClass"):
+            child(edge_label(root(3), rule, 0), klass)
 
 
 def test_sibling_closure_of_interior_nodes():
