@@ -12,8 +12,9 @@ benchmark use them. Import everything else from its module, e.g.
 
 from .decider import FrontierClosure, decide, decide_range
 from .errors import ResourceLimitError
-from .infinite import infinite_injective, pair_graph
+from .infinite import infinite_injective
 from .oracle import oracle_is_reversible
+from .pairs import pair_graph
 from .rules import Rule, parse_rule
 from .strategies import sample_strategy
 from .tree import NodeClass, child, edge_label

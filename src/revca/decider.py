@@ -18,9 +18,9 @@ preperiod q and period p. That turns the decision for any n into
 Any failed cardinality check certifies irreversibility with a witness;
 if nothing fails the tree is complete and the CA is reversible. A
 surjective rule skips the interior check, which it cannot fail. Such a
-rule gives every word exactly d**2 preimages, any two differing in their
-first two cells (Hedlund 1969), so each starting window has one preimage
-of a level's output word and every interior label carries d**2 RMTs; one
+rule gives every word exactly d**2 preimages (Hedlund 1969), no two with
+equal first two and last two cells (a diamond, ``pairs``), so an interior
+label, one (start window, last RMT) per preimage, carries d**2 RMTs; one
 search of the pair graph (``pairs.is_surjective``) tells, once per rule. An
 unbalanced rule fails at the root, so it is rejected with its closure
 built but never advanced. The frontier sequence is one lazy sequence per
@@ -201,8 +201,8 @@ class FrontierClosure:
         expanded = len(children[0])
         new = self._lane[expanded:]
         counted, witness = len(new), None
-        # a node already expanded passed its check at an earlier level, and
-        # a surjective rule's nodes pass it (module docstring)
+        # a node already expanded passed its check at an earlier level, and a
+        # surjective rule's nodes pass it: d**2 preimages, no diamond (module docstring)
         check = self._violation is None and not self._surjective
         found = first_violator(new, self._masks) if check else None
         if found is not None:

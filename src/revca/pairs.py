@@ -1,4 +1,4 @@
-"""The matched-output pair graph, on ints, and surjectivity on the lattice.
+"""The matched-output pair graph on ints: its encoding, components and cycles.
 
 The pair graph's vertices are ordered pairs of two-cell windows, and each
 edge takes one de Bruijn edge in each coordinate, the two emitting the same
@@ -9,8 +9,8 @@ v % (d**2 + 1) == 0. The edges leaving window w are the RMTs r in Sibl(w),
 each ending at window r mod d**2, so ``rule.table`` alone gives the
 adjacency.
 
-``infinite`` reads injectivity off this graph and the decider reads
-surjectivity, so it is a module of its own that imports neither of them.
+Only this module knows that encoding. It imports neither the decider,
+which reads surjectivity off the graph, nor ``infinite``, which reads a cycle.
 
 A CA on the lattice is surjective iff it is pre-injective (Moore 1962;
 Myhill 1963): no two configurations that differ in finitely many cells
@@ -22,7 +22,11 @@ configurations.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .rules import Rule
+
+Pair = tuple[tuple[int, int], tuple[int, int]]  # two windows
 
 
 def pair_adjacency(rule: Rule) -> list[list[int]]:
@@ -37,6 +41,19 @@ def pair_adjacency(rule: Rule) -> list[list[int]]:
         for out1 in out
         for out2 in out
     ]
+
+
+def _pair(v: int, d: int) -> Pair:
+    w1, w2 = divmod(v, d * d)
+    return divmod(w1, d), divmod(w2, d)
+
+
+def pair_graph(rule: Rule) -> dict[Pair, tuple[Pair, ...]]:
+    """The matched-output pair graph, decoded: keys run over (w1, w2) in
+    lexicographic order, out-edges over the two edges' third cells (c1, c2)."""
+    pairs = [_pair(v, rule.d) for v in range(rule.d ** 4)]
+    adj = pair_adjacency(rule)
+    return {pairs[v]: tuple(pairs[u] for u in outs) for v, outs in enumerate(adj)}
 
 
 def is_surjective(rule: Rule) -> bool:
@@ -55,3 +72,84 @@ def is_surjective(rule: Rule) -> bool:
                 seen.add(u)
                 todo.append(u)
     return True
+
+
+def _sccs(adj: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Strongly connected components in the order Tarjan's algorithm emits
+    them from vertex 0 up (reverse topological), by two traversals.
+    Pass 1 is Tarjan's depth-first search and records finishing order. A
+    component's root, its first-discovered vertex, finishes last in it, and
+    Tarjan emits a component when its root finishes. Pass 2 meets the roots
+    in decreasing finishing order and collects each component along
+    reversed edges, so its list reversed is Tarjan's."""
+    finished: list[int] = []
+    seen = [False] * len(adj)
+    work = [(-1, iter(range(len(adj))))]  # a virtual root above every vertex
+    while work:
+        v, it = work[-1]
+        for u in it:
+            if not seen[u]:
+                seen[u] = True
+                work.append((u, iter(adj[u])))
+                break
+        else:
+            work.pop()
+            finished.append(v)
+    finished.pop()  # the virtual root
+    reverse: list[list[int]] = [[] for _ in adj]
+    for v, outs in enumerate(adj):
+        for u in outs:
+            reverse[u].append(v)
+    sccs: list[list[int]] = []
+    assigned = [False] * len(adj)
+    for root in reversed(finished):
+        if assigned[root]:
+            continue
+        assigned[root] = True
+        comp = [root]
+        for v in comp:  # grows while it is walked
+            for u in reverse[v]:
+                if not assigned[u]:
+                    assigned[u] = True
+                    comp.append(u)
+        sccs.append(comp)
+    return sccs[::-1]
+
+
+def _cycle_through(v: int, adj: Sequence[Sequence[int]]) -> list[int]:
+    """Shortest cycle through v (v on a cycle) as [successor of v, ..., v]:
+    each vertex steps to the next, v back to the first. A search that leaves
+    v's strongly connected component never returns, so the cycle stays in it."""
+    parent = [-1] * len(adj)
+    frontier = [v]
+    while frontier and parent[v] < 0:
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                if parent[w] < 0:
+                    parent[w] = u
+                    nxt.append(w)
+        frontier = nxt
+    path = [v]
+    while parent[path[-1]] != v:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
+def collision_cycle(rule: Rule) -> tuple[tuple[Pair, ...], tuple[int, ...], tuple[int, ...]] | None:
+    """A pair cycle through an off-diagonal vertex as (pairs, left RMTs,
+    right RMTs), or None: the shortest cycle through the least off-diagonal
+    vertex of the first such component in Tarjan's order. Pair v stepping
+    to u reads, in each coordinate, the RMT (v's window)*d + (u's last cell)."""
+    d = rule.d
+    dd, diagonal = d * d, d * d + 1
+    adj = pair_adjacency(rule)
+    for comp in _sccs(adj):
+        off_diagonal = [v for v in comp if v % diagonal]
+        if off_diagonal and (len(comp) > 1 or comp[0] in adj[comp[0]]):  # on a cycle
+            cycle = _cycle_through(min(off_diagonal), adj)
+            steps = list(zip(cycle, [*cycle[1:], cycle[0]]))
+            left = tuple(v // dd * d + u // dd % d for v, u in steps)
+            right = tuple(v % dd * d + u % d for v, u in steps)
+            return tuple(_pair(v, d) for v in cycle), left, right
+    return None

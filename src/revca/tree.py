@@ -242,18 +242,12 @@ def first_violator(nodes: Sequence[bytes], masks: Sequence[int]) -> tuple[int, i
     as (lanes up to and including it, edge state, expected total, actual
     total, its bits); None if all pass."""
     want = expected_edge_total(0, 3, len(masks))
-    bad = {}
-    for node in nodes:
+    for rank, node in enumerate(sorted(nodes), 1):
         bits = int.from_bytes(node, "big")
         for m, mask in enumerate(masks):
             if (bits & mask).bit_count() != want:
-                bad[node] = m
-                break
-    if not bad:
-        return None
-    first = min(bad)
-    bits, m = int.from_bytes(first, "big"), bad[first]
-    return sum(node <= first for node in nodes), m, want, (bits & masks[m]).bit_count(), bits
+                return rank, m, want, (bits & mask).bit_count(), bits
+    return None
 
 
 def ring_closing_violation(d: int, masks: Sequence[int], frontier: Iterable[bytes]) -> tuple | None:

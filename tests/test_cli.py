@@ -1,10 +1,14 @@
 """Command-line interface: flags, wire formats, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from revca import parse_rule
 from revca import cli
@@ -370,3 +374,93 @@ def test_argparse_usage_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["check", "--states", "3"])  # missing required --rule
     assert exc.value.code == 2
+
+
+_BAD_INTS = ("", "x", "3.0", "-", "\u00b2", "1_0")
+_RULES = {2: ("11001100", "01101001"), 3: (FIG1_RULE, FIG2_RULE, "0" * 26 + "1"), 4: ("0123" * 16,)}
+
+
+def _mostly(good, bad):
+    """``good`` most of the time, else ``bad``."""
+    return st.integers(0, 4).flatmap(lambda i: bad if i == 4 else good)
+
+
+@st.composite
+def _argvs(draw):
+    """A revca argv: any command, good and bad values, a flag dropped now
+    and then; never a long run (no `gen --all` over a large family,
+    samples up to 40, steps up to 10, ranges spanning up to 40)."""
+    command = draw(st.sampled_from(("frobnicate", "check", "evolve", "gen", "oracle", "infinite", "dot", "check")))
+    d = draw(st.integers(2, 4))
+    digits = "0123"[:d]
+    bad_int = st.sampled_from(_BAD_INTS)
+    states = _mostly(st.just(str(d)), st.sampled_from(("0", "1", "7", "-2", *_BAD_INTS)))
+    rule = _mostly(
+        st.one_of(st.sampled_from(_RULES[d]), st.text(digits, min_size=d ** 3, max_size=d ** 3)),
+        st.text("0123x,\u00b2", max_size=30),
+    )
+    cells = _mostly(st.integers(3, 14).map(str), st.one_of(
+        st.sampled_from(("-3", "0", "2", "1000000", "10" + "0" * 18)), bad_int
+    ))
+    cells_range = _mostly(
+        st.tuples(st.integers(-3, 20), st.integers(0, 40)).map(lambda r: f"{r[0]}:{r[0] + r[1]}"),
+        st.sampled_from(("5:3", "3", "a:b", "3:", ":4", "-3:4")),
+    )
+    fmt = _mostly(st.sampled_from(("text", "json")), st.just("xml"))
+    seed = ("--seed", _mostly(st.integers(0, 2 ** 70).map(str), st.one_of(st.just("-5"), bad_int)))
+    if command != "gen":
+        options = {
+            "check": [("--states", states), ("--rule", rule), ("--cells", cells),
+                      ("--cells-range", cells_range), ("--format", fmt)],
+            "evolve": [("--states", states), ("--rule", rule),
+                       ("--config", _mostly(st.text(digits, min_size=3, max_size=12), st.text(digits + "x", max_size=3))),
+                       ("--steps", _mostly(st.integers(0, 10).map(str), st.one_of(st.just("-2"), bad_int)))],
+            "oracle": [("--states", states), ("--rule", rule), ("--cells", cells), ("--format", fmt)],
+            "infinite": [("--states", states), ("--rule", rule), ("--format", fmt)],
+            "dot": [("--states", states), ("--rule", rule)],
+            "frobnicate": [("--states", states)],
+        }[command]
+    elif draw(st.booleans()):  # --all over a small family, or one that fails at once
+        strategy, gen_states = draw(st.sampled_from(
+            (("I", "2"), ("II", "2"), ("III", "2"), ("III", "3"), ("IV", "2"), ("III", "7"), ("I", "x"))
+        ))
+        options = [("--strategy", st.just(strategy)), ("--states", st.just(gen_states)), ("--all", None), seed]
+        options += draw(st.sampled_from(([], [], [("--sample", st.just("3"))])))
+    else:
+        options = [
+            ("--strategy", _mostly(st.sampled_from(("I", "II", "III")), st.just("IV"))),
+            ("--states", _mostly(st.integers(2, 6).map(str), states)),
+            ("--sample", _mostly(st.integers(0, 40).map(str), st.one_of(st.just("-2"), bad_int))),
+            seed,
+        ]
+    if command == "check":  # --cells or --cells-range, seldom both
+        ring = draw(_mostly(st.sampled_from(({"--cells"}, {"--cells-range"})), st.just({"--cells", "--cells-range"})))
+        options = [(flag, value) for flag, value in options if flag in ring or not flag.startswith("--cells")]
+    dropped = draw(st.integers(0, 3 * len(options)))  # now and then one flag
+    argv = [command]
+    for i, (flag, value) in enumerate(options):
+        if i != dropped:
+            argv += [flag] if value is None else [flag, draw(value)]
+    return argv
+
+
+@settings(max_examples=400, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argvs())
+def test_any_argv_gets_a_documented_exit(monkeypatch, argv):
+    # every input gets a verdict (0, 1), a usage error (2) or a budget
+    # diagnostic (3): never a traceback, and nothing on stdout with an error
+    monkeypatch.setenv("REVCA_NODE_BUDGET", "3000")
+    monkeypatch.setenv("REVCA_ORACLE_BUDGET", "20000")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    if code in (2, 3):
+        assert out.getvalue() == "", argv
+    elif argv[0] in ("check", "oracle", "infinite") and "json" in argv:  # --format json
+        json.loads(out.getvalue())

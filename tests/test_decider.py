@@ -376,6 +376,32 @@ def test_interior_check_fails_exactly_for_non_surjective_rules():
     }
 
 
+@st.composite
+def _strategy_rules_and_words(draw):
+    d = draw(st.integers(2, 4))
+    strategy = draw(st.sampled_from(("I", "II", "III")))
+    rule = rule_at(strategy, d, draw(st.integers(0, strategy_family_size(strategy, d) - 1)))
+    return rule, tuple(draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=4)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_strategy_rules_and_words())
+def test_surjective_rules_give_distinct_preimage_ends(case):
+    # why the closure may skip the interior check: d**2 preimages (Hedlund
+    # 1969), no two with equal first two and last two cells (no diamond);
+    # the first two cells alone do not tell them apart (Strategy III)
+    rule, word = case
+    d, m = rule.d, len(word)
+    preimages = [
+        cells
+        for cells in itertools.product(range(d), repeat=m + 2)
+        if all(rule.table[cells[i] * d * d + cells[i + 1] * d + cells[i + 2]] == s for i, s in enumerate(word))
+    ]
+    assert len(preimages) == d * d, (rule.table, word)
+    ends = {(cells[:2], cells[-2:]) for cells in preimages}
+    assert len(ends) == d * d, (rule.table, word)
+
+
 @pytest.mark.parametrize(
     "text, d, n, budget",
     [
