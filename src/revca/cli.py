@@ -15,7 +15,7 @@ import warnings
 from typing import Sequence
 
 from .decider import decide, decide_range
-from .errors import _SIGNED_INT, ResourceLimitError, RuleFormatError
+from .errors import _SIGNED_INT, ResourceLimitError, as_integer
 from .evolution import (
     export_dot,
     format_configuration,
@@ -119,11 +119,10 @@ def _cmd_check(args) -> int:
 
 def _cmd_evolve(args) -> int:
     rule = parse_rule(args.rule, args.states)
-    if args.steps < 0:
-        raise RuleFormatError("steps must be >= 0")
+    steps = as_integer(args.steps, "steps", 0)
     cells = parse_configuration(args.config, args.states)
     print(f"0 {format_configuration(cells)}")
-    for t in range(1, args.steps + 1):
+    for t in range(1, steps + 1):
         cells = step(rule, cells)
         print(f"{t} {format_configuration(cells)}")
     return 0

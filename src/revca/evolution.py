@@ -18,23 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import RuleFormatError, as_integer
-from .rules import Rule, read_states, rmt_decompose, validate_cell_count, validate_state_count
+from .errors import as_integer
+from .rules import Rule, read_states, rmt_decompose, validate_cell_count
 
 Configuration = tuple[int, ...]
 
 
 def parse_configuration(text: str, d: int) -> Configuration:
-    """Parse a digit string (or comma-separated ints) into a ring of cells."""
-    d = validate_state_count(d)
-    text = text.strip()
-    comma = "," in text
-    cells = tuple(read_states([p.strip() for p in text.split(",")] if comma else text, comma))
-    if len(cells) < 3:
-        raise RuleFormatError("a ring needs at least 3 cells")
-    for pos, s in enumerate(cells):
-        if not 0 <= s < d:
-            raise RuleFormatError(f"cell state {s} at position {pos} invalid for d={d}", pos)
+    """Parse a ring of at least 3 cells, read by :func:`~revca.rules.read_states`."""
+    cells = tuple(read_states(text, d))
+    validate_cell_count(len(cells))
     return cells
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
 
 from .errors import _SIGNED_INT, RuleFormatError, as_integer
 
@@ -133,45 +132,35 @@ def is_balanced(rule: Rule) -> bool:
     return all(c == want for c in rule.state_counts())
 
 
-def read_states(fields: Sequence[str], comma: bool) -> list[int]:
-    """The integers written in ``fields``: comma-separated entries with an
-    optional sign, or single digits. Only ASCII digits count; ``int`` and
-    ``str.isdigit`` also take other scripts' digits and ``_`` separators."""
+def read_states(text: str, d: int) -> list[int]:
+    """The states written in ``text``: single digits, or comma-separated
+    integers with an optional sign, each in [0, d). Every entry's syntax is
+    checked before any value's range, and a RuleFormatError names the
+    position (character, or field) at fault. Only ASCII digits count;
+    ``int`` and ``str.isdigit`` also take other scripts' digits and ``_``."""
+    d = validate_state_count(d)
+    text = text.strip()
+    comma = "," in text
+    fields = [p.strip() for p in text.split(",")] if comma else text
     for pos, entry in enumerate(fields):
-        if comma and not _SIGNED_INT.fullmatch(entry):
-            raise RuleFormatError(f"bad entry {entry!r} at field {pos}", pos)
-        if not comma and not "0" <= entry <= "9":
-            raise RuleFormatError(f"non-digit {entry!r} at position {pos}", pos)
-    return [int(entry) for entry in fields]
+        if not (_SIGNED_INT.fullmatch(entry) if comma else "0" <= entry <= "9"):
+            raise RuleFormatError(f"bad entry {entry!r} at position {pos}", pos)
+    values = [int(entry) for entry in fields]
+    for pos, v in enumerate(values):
+        if not 0 <= v < d:
+            raise RuleFormatError(f"state {v} at position {pos} is not valid for d={d}", pos)
+    return values
 
 
 def parse_rule(text: str, d: int) -> Rule:
-    """Parse a rule string (digits, or comma-separated ints).
+    """Parse a rule string (see :func:`read_states`) of d**3 states.
 
     The rightmost symbol is the next state of RMT 0, the leftmost of
     RMT d**3 - 1.
     """
-    d = validate_state_count(d)
-    text = text.strip()
-    comma = "," in text
-    if comma:
-        fields = [p.strip() for p in text.split(",")]
-        if len(fields) != d ** 3:
-            raise RuleFormatError(
-                f"expected {d ** 3} comma-separated entries, got {len(fields)}"
-            )
-    else:
-        if len(text) != d ** 3:
-            raise RuleFormatError(
-                f"expected {d ** 3} digits for d={d}, got {len(text)}"
-            )
-        fields = text
-    values = read_states(fields, comma)
-    for pos, v in enumerate(values):
-        if not 0 <= v < d:
-            raise RuleFormatError(
-                f"symbol {v} at position {pos} is not a valid state for d={d}", pos
-            )
+    values = read_states(text, d)
+    if len(values) != d ** 3:
+        raise RuleFormatError(f"expected {d ** 3} states for d={d}, got {len(values)}")
     # text order is f[d^3-1] ... f[0]
     return Rule(d, tuple(reversed(values)))
 

@@ -104,15 +104,6 @@ class TreeNode:
         """RMT count summed over window sets (with multiplicity)."""
         return self.bits.bit_count()
 
-    def union_mask(self) -> int:
-        u = 0
-        for m in self.by_window:
-            u |= m
-        return u
-
-    def is_empty(self) -> bool:
-        return self.bits == 0
-
 
 # Packed nodes per kernel call, in bytes. A call holds a few ints of this
 # size at once, so the cap bounds what it adds to the frontiers' memory.
@@ -315,10 +306,3 @@ def expected_edge_total(level: int, n: int, d: int) -> int:
         return d
     return 1
 
-
-def format_node(node: TreeNode) -> str:
-    """Debug form: one bracketed decimal RMT list per window set."""
-    parts = []
-    for w in range(node.d * node.d):
-        parts.append("[" + ",".join(map(str, node.window_set(w))) + "]")
-    return "".join(parts)

@@ -244,7 +244,7 @@ def test_usage_errors_exit_2(capsys):
         "--config", "0101", "--steps", "-1",
     )
     assert (code, out) == (2, "")
-    assert err == "error: steps must be >= 0\n"
+    assert err == "error: steps must be >= 0, got -1\n"
     for argv, message in (
         (("check", "--states", "7", "--rule", "0" * 343, "--cells", "4"), "state count must be in [2, 6], got 7"),
         (("oracle", "--states", "3", "--rule", FIG1_RULE, "--cells", "2"), "cell count must be >= 3, got 2"),
@@ -363,11 +363,15 @@ class _ClosedPipe:
         raise BrokenPipeError
 
 
-@pytest.mark.parametrize("rule, code", [("01101001", 1), ("11110000", 0)])
-def test_check_keeps_its_verdict_under_a_closed_pipe(monkeypatch, rule, code):
-    # as `revca check ... | head -1` under pipefail
+@pytest.mark.parametrize("argv, code", [
+    (["check", "--states", "2", "--rule", "01101001", "--cells-range", "3:40"], 1),
+    (["check", "--states", "2", "--rule", "11110000", "--cells-range", "3:40"], 0),
+    (["gen", "--strategy", "III", "--states", "2", "--all"], 0),
+], ids=["01101001-1", "11110000-0", "gen-0"])
+def test_check_keeps_its_verdict_under_a_closed_pipe(monkeypatch, argv, code):
+    # as `revca check ... | head -1` under pipefail; other commands exit 0
     monkeypatch.setattr("sys.stdout", _ClosedPipe())
-    assert main(["check", "--states", "2", "--rule", rule, "--cells-range", "3:40"]) == code
+    assert main(argv) == code
 
 
 def test_argparse_usage_exit_code():

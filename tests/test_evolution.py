@@ -115,6 +115,10 @@ def test_orbit_reaching_fixed_point():
     assert result.states[1] == (0, 0, 0, 0)
     assert result.cycle_start == 1
     assert result.repeat_at == 2
+    # cut at t_max = 1, before the fixed point repeats
+    cut = orbit(rule, (0, 1, 0, 1), 1)
+    assert cut.states == ((0, 1, 0, 1), (0, 0, 0, 0))
+    assert (cut.cycle_start, cut.repeat_at) == (None, None)
 
 
 def test_step_is_bijection_for_reversible_rule():

@@ -5,7 +5,7 @@ import random
 
 import numpy
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revca import Rule, parse_rule
@@ -124,6 +124,7 @@ def test_parse_rule_orientation():
     assert rule[0] == 0
     assert rule[1] == 1
     assert rule[26] == 2
+    assert str(rule) == FIG1_RULE
 
 
 def test_parse_constant_rule():
@@ -160,6 +161,36 @@ def test_parse_csv_form():
         with pytest.raises(RuleFormatError) as err:
             parse_rule(f"0,0,0,{entry},0,0,0,0", 2)
         assert err.value.position == 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4), st.booleans(), st.data())
+def test_rules_and_rings_are_read_alike(d, comma, data):
+    # d**3 states with at most one fault at ``pos``: the rule is the ring
+    # read backwards, or both parsers refuse the text at ``pos``
+    entries = [str(data.draw(st.integers(0, d - 1))) for _ in range(d ** 3)]
+    fault = data.draw(st.sampled_from((None, "non-ASCII digit", "_", "sign", "state >= d")))
+    pos = data.draw(st.integers(0, d ** 3 - 1))
+    if fault == "non-ASCII digit":
+        entries[pos] = data.draw(st.sampled_from(("\u0661", "\uff11", "\u00b2")))
+    elif fault == "_":
+        entries[pos] = entries[pos] + "_0" if comma else "_"
+    elif fault == "sign":
+        comma = False  # a signed entry is only a fault among digits
+        entries[pos] = data.draw(st.sampled_from("+-"))
+    elif fault == "state >= d":
+        entries[pos] = str(data.draw(st.integers(d, 20 if comma else 9)))
+    text = data.draw(st.sampled_from((",", ", ", " ,"))).join(entries) if comma else "".join(entries)
+    try:
+        ring = parse_configuration(text, d)
+    except RuleFormatError as err:
+        with pytest.raises(RuleFormatError) as rule_err:
+            parse_rule(text, d)
+        assert rule_err.value.position == err.position == pos
+        assert fault is not None
+    else:
+        assert parse_rule(text, d).table[::-1] == ring
+        assert fault is None
 
 
 @given(st.integers(2, 4), st.data())

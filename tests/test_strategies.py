@@ -1,7 +1,9 @@
 """Greedy rule families, counting, and sampling."""
 
+import functools
 import itertools
 import math
+import operator
 
 import pytest
 
@@ -140,12 +142,12 @@ def test_strategy_one_level1_nodes_cover_all_rmts():
         node = root(3)
         for m in range(3):
             label = edge_label(node, rule, m)
-            union = label.union_mask()
+            union = functools.reduce(operator.or_, label.by_window)
             assert union.bit_count() == 9
             for i in range(9):
                 assert (union & sum(1 << r for r in equi_set(i, 3))).bit_count() == 1
             level1 = child(label, NodeClass.INTERIOR)
-            assert level1.union_mask() == (1 << 27) - 1
+            assert functools.reduce(operator.or_, level1.by_window) == (1 << 27) - 1
 
 
 def test_random_balanced_rules():

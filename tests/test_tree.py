@@ -16,7 +16,6 @@ from revca.tree import (
     expand_lanes,
     expected_edge_total,
     first_violator,
-    format_node,
     label_masks,
     lane_bytes,
     node_is_balanced,
@@ -52,7 +51,7 @@ def test_edge_label_collects_matching_rmts():
 def test_edge_label_of_constant_rule():
     rule = Rule(2, (0,) * 8)
     label = edge_label(root(2), rule, 1)
-    assert label.is_empty()
+    assert label.bits == 0
 
 
 def test_edge_label_rejects_rule_of_other_state_count():
@@ -90,6 +89,11 @@ def test_interior_child_expands_to_sibling_sets():
     node = child(TreeNode.from_windows(3, label_sets), NodeClass.INTERIOR)
     assert set(node.window_set(0)) == {3, 4, 5}
     assert all(node.by_window[w] == 0 for w in range(1, 9))
+    with pytest.raises(ValueError, match="need 9 window sets"):
+        TreeNode.from_windows(3, label_sets[:8])
+    for bad in (1 << 27, -1):
+        with pytest.raises(ValueError, match="bits outside"):
+            TreeNode.from_windows(3, [bad] + label_sets[1:])
 
 
 def _child_by_the_paper(label, node_class, w):
@@ -260,7 +264,7 @@ def test_empty_label_gives_empty_child():
     rule = Rule(2, (0,) * 8)
     label = edge_label(root(2), rule, 1)
     for klass in NodeClass:
-        assert child(label, klass).is_empty()
+        assert child(label, klass).bits == 0
 
 
 def test_fig2_second_last_filter_golden():
@@ -269,7 +273,7 @@ def test_fig2_second_last_filter_golden():
     rule = parse_rule(FIG2_RULE, 3)
     level1 = child(edge_label(root(3), rule, 0), NodeClass.INTERIOR)
     level2 = child(edge_label(level1, rule, 1), NodeClass.SECOND_LAST)
-    assert format_node(level2) == "[3][18][12][4][19][13][5][20][14]"
+    assert [level2.window_set(w) for w in range(9)] == [(3,), (18,), (12,), (4,), (19,), (13,), (5,), (20,), (14,)]
     assert set(level2.window_set(1)) == {18}
     # without the filter the same expansion would include 19 and 20
     unfiltered = child(edge_label(level1, rule, 1), NodeClass.INTERIOR)
@@ -281,7 +285,7 @@ def test_fig2_last_filter_golden():
     level1 = child(edge_label(root(3), rule, 0), NodeClass.INTERIOR)
     level2 = child(edge_label(level1, rule, 1), NodeClass.SECOND_LAST)
     level3 = child(edge_label(level2, rule, 0), NodeClass.LAST)
-    assert format_node(level3) == "[][1][][][][][15][][17]"
+    assert [level3.window_set(w) for w in range(9)] == [(), (1,), (), (), (), (), (15,), (), (17,)]
     assert set(level3.window_set(1)) == {1}
     # a class given by its value, not the enum member, is refused
     for klass in ("last", None, 2):
@@ -379,12 +383,12 @@ def _reachable_by_tree(rule, n):
 
     def walk(node, level, prefix):
         if level == n:
-            if not node.is_empty():
+            if node.bits:
                 found.add(prefix)
             return
         for m in range(d):
             label = edge_label(node, rule, m)
-            if label.is_empty():
+            if not label.bits:
                 continue
             walk(child(label, klass_for(level + 1)), level + 1, prefix + (m,))
 
