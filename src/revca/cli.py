@@ -46,9 +46,14 @@ def _cells_range(text: str) -> tuple[int, int]:
     return _integer(lo), _integer(hi)
 
 
-def _add_rule_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--states", type=_integer, required=True, help="states per cell (d)")
-    p.add_argument("--rule", required=True, help="rule string, next state of RMT 0 rightmost")
+def _command(sub, name: str, run, help: str, rule: bool = True) -> argparse.ArgumentParser:
+    """Register ``name``, run as ``run(args, rule)``; a rule command takes --states/--rule."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(run=run)
+    if rule:
+        p.add_argument("--states", type=_integer, required=True, help="states per cell (d)")
+        p.add_argument("--rule", required=True, help="rule string, next state of RMT 0 rightmost")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,19 +63,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="decide reversibility for one or many cell counts")
-    _add_rule_args(p)
+    p = _command(sub, "check", _cmd_check, "decide reversibility for one or many cell counts")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--cells", type=_integer, help="ring size n")
     group.add_argument("--cells-range", type=_cells_range, help="inclusive range LO:HI")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("evolve", help="print a configuration trace")
-    _add_rule_args(p)
+    p = _command(sub, "evolve", _cmd_evolve, "print a configuration trace")
     p.add_argument("--config", required=True, help="initial configuration digits")
     p.add_argument("--steps", type=_integer, required=True)
 
-    p = sub.add_parser("gen", help="emit a strategy family, one rule per line")
+    p = _command(sub, "gen", _cmd_gen, "emit a strategy family, one rule per line", rule=False)
     p.add_argument("--strategy", choices=STRATEGIES, required=True)
     p.add_argument("--states", type=_integer, required=True)
     group = p.add_mutually_exclusive_group(required=True)
@@ -78,22 +81,24 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--sample", type=_integer, metavar="N", help="sample N rules")
     p.add_argument("--seed", type=_integer, default=0, help="sampling seed")
 
-    p = sub.add_parser("oracle", help="brute-force global map summary")
-    _add_rule_args(p)
+    p = _command(sub, "oracle", _cmd_oracle, "brute-force global map summary")
     p.add_argument("--cells", type=_integer, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("infinite", help="injectivity on the unbounded lattice")
-    _add_rule_args(p)
+    p = _command(sub, "infinite", _cmd_infinite, "injectivity on the unbounded lattice")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("dot", help="emit the rule's de Bruijn graph as DOT")
-    _add_rule_args(p)
+    _command(sub, "dot", _cmd_dot, "emit the rule's de Bruijn graph as DOT")
     return parser
 
 
-def _cmd_check(args) -> int:
-    rule = parse_rule(args.rule, args.states)
+def _emit(args, record: dict, lines: list[str]) -> int:
+    """Print ``record`` as one JSON line under ``--format json``, else ``lines``."""
+    print(json.dumps(record) if args.format == "json" else "\n".join(lines))
+    return 0
+
+
+def _cmd_check(args, rule) -> int:
     if args.cells is not None:
         verdicts = {args.cells: decide(rule, args.cells)}
     else:
@@ -117,8 +122,7 @@ def _cmd_check(args) -> int:
     return code
 
 
-def _cmd_evolve(args) -> int:
-    rule = parse_rule(args.rule, args.states)
+def _cmd_evolve(args, rule) -> int:
     steps = as_integer(args.steps, "steps", 0)
     cells = parse_configuration(args.config, args.states)
     print(f"0 {format_configuration(cells)}")
@@ -128,7 +132,7 @@ def _cmd_evolve(args) -> int:
     return 0
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args, _rule) -> int:
     if args.all:
         rules = enumerate_strategy(args.strategy, args.states)
     else:
@@ -138,48 +142,28 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    rule = parse_rule(args.rule, args.states)
+def _cmd_oracle(args, rule) -> int:
     summary = oracle_is_reversible(rule, args.cells)
-    if args.format == "json":
-        print(json.dumps(summary.to_dict()))
-    else:
-        print(
-            f"bijective: {'yes' if summary.bijective else 'no'}  "
-            f"image={summary.image_size}/{args.states ** args.cells}  "
-            f"max_indegree={summary.max_indegree}"
-        )
-    return 0
+    return _emit(args, summary.to_dict(), [
+        f"bijective: {'yes' if summary.bijective else 'no'}  "
+        f"image={summary.image_size}/{args.states ** args.cells}  "
+        f"max_indegree={summary.max_indegree}"
+    ])
 
 
-def _cmd_infinite(args) -> int:
-    rule = parse_rule(args.rule, args.states)
+def _cmd_infinite(args, rule) -> int:
     result = infinite_injective(rule)
-    if args.format == "json":
-        print(json.dumps(result.to_dict()))
-    else:
-        print(f"injective: {'yes' if result.injective else 'no'}")
-        if result.witness is not None:
-            pairs = " ".join(f"{a}{b}|{c}{e}" for (a, b), (c, e) in result.witness.pairs)
-            print(f"  witness cycle: {pairs}")
-            print(f"  outputs: {''.join(map(str, result.witness.outputs))}")
-    return 0
+    lines = [f"injective: {'yes' if result.injective else 'no'}"]
+    if result.witness is not None:
+        pairs = " ".join(f"{a}{b}|{c}{e}" for (a, b), (c, e) in result.witness.pairs)
+        outputs = "".join(map(str, result.witness.outputs))
+        lines += [f"  witness cycle: {pairs}", f"  outputs: {outputs}"]
+    return _emit(args, result.to_dict(), lines)
 
 
-def _cmd_dot(args) -> int:
-    rule = parse_rule(args.rule, args.states)
+def _cmd_dot(args, rule) -> int:
     sys.stdout.write(export_dot(rule))
     return 0
-
-
-_COMMANDS = {
-    "check": _cmd_check,
-    "evolve": _cmd_evolve,
-    "gen": _cmd_gen,
-    "oracle": _cmd_oracle,
-    "infinite": _cmd_infinite,
-    "dot": _cmd_dot,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -195,7 +179,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         warnings.simplefilter("default")
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
-            return _COMMANDS[args.command](args)
+            rule = parse_rule(args.rule, args.states) if "rule" in args else None
+            return args.run(args, rule)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return USAGE_ERROR

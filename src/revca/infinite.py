@@ -19,6 +19,17 @@ period n, are two distinct bi-infinite configurations with one image,
 because the update of a periodic configuration repeats the ring update.
 The converse fails: a rule can be reversible at some n, even at
 infinitely many, without being injective on the lattice.
+
+Theorem: a rule reversible on the n-cell ring for every n in
+3..max(4, d^4) is injective on the lattice. If it is not injective, the
+witness cycle is a shortest cycle through a pair, so it repeats no pair
+and its length L is at most d^4, the number of pairs. Its coordinates, looped
+ceil(3/L) times, are two n*-cell rings, n* = L*ceil(3/L): distinct,
+because the cycle visits an off-diagonal pair, and with one image,
+because its edges match outputs. So the rule is irreversible at n*,
+which is 3 for L = 1, 4 for L = 2 and L <= d^4 otherwise. With the
+theorem above, injectivity on the lattice is reversibility at every n
+in that range.
 """
 
 from __future__ import annotations

@@ -311,10 +311,11 @@ def test_oracle_giant_ring_is_budget_error(capsys, d, cells):
     ],
 )
 def test_crashes_never_exit_1(capsys, monkeypatch, exc, code, line):
-    def crash(args):
+    def crash(*_):
         raise exc
 
-    monkeypatch.setitem(cli._COMMANDS, "oracle", crash)
+    # main builds the parser on every call, so it registers the patched handler
+    monkeypatch.setattr(cli, "_cmd_oracle", crash)
     got, out, err = run(capsys, *ORACLE_ARGS)
     assert got == code
     assert out == ""
@@ -325,6 +326,36 @@ CHECK_ARGS = ("check", "--states", "3", "--rule", "000111222000111222000111222",
 ORACLE_ARGS = ("oracle", "--states", "3", "--rule", FIG1_RULE, "--cells", "4")
 # rejected at the root, after the budget is read
 UNBALANCED_ARGS = ("check", "--states", "3", "--rule", "0" * 26 + "1")
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        ((), ("check", "evolve", "gen", "oracle", "infinite", "dot")),
+        (CHECK_ARGS, ("--states", "--rule", "--cells", "--cells-range", "--format")),
+        (("evolve", "--states", "2", "--rule", "11001100", "--config", "011", "--steps", "1"),
+         ("--states", "--rule", "--config", "--steps")),
+        (("gen", "--strategy", "I", "--states", "2", "--all"),
+         ("--strategy", "--states", "--all", "--sample", "--seed")),
+        (ORACLE_ARGS, ("--states", "--rule", "--cells", "--format")),
+        (("infinite", "--states", "2", "--rule", "11001100"), ("--states", "--rule", "--format")),
+        (("dot", "--states", "2", "--rule", "11001100"), ("--states", "--rule")),
+    ],
+)
+def test_every_command_is_registered_with_its_flags(capsys, monkeypatch, argv, flags):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv[:1], "--help"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 0
+    assert captured.out.startswith("usage: revca")
+    assert captured.err == ""
+    for flag in flags:
+        assert flag in captured.out
+    if argv:  # the registered handler runs once, on the rule main parsed
+        calls = []
+        monkeypatch.setattr(cli, f"_cmd_{argv[0]}", lambda args, rule: calls.append(rule) or 0)
+        assert main(list(argv)) == 0
+        assert calls == [None if argv[0] == "gen" else parse_rule(argv[4], int(argv[2]))]
 
 
 @pytest.mark.parametrize(

@@ -107,6 +107,9 @@ def test_every_lattice_witness_is_a_collision_that_step_confirms():
         witness = infinite_injective(rule).witness
         if witness is not None:
             _check_witness(rule, witness)
+            # the tree agrees: the witness collides on the n*-cell ring
+            length = len(witness.pairs)
+            assert not decide(rule, length * -(-3 // length)).reversible
             checked += 1
     assert checked
 
